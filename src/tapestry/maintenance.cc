@@ -5,10 +5,44 @@
 #include "src/tapestry/maintenance.h"
 
 #include <algorithm>
+#include <bitset>
+#include <unordered_map>
 
 #include "src/sim/metrics.h"
 
 namespace tap {
+
+namespace {
+
+/// One bit per digit of a (level, prefix) class; 256 bits covers every
+/// radix an IdSpec allows (digit_bits <= 8).
+using DigitMask = std::bitset<256>;
+
+bool row_full(const RoutingTable& table, unsigned level) {
+  const std::uint64_t* occ = table.row_occupancy(level);
+  unsigned filled = 0;
+  for (unsigned w = 0; w < table.occupancy_words(); ++w)
+    filled += static_cast<unsigned>(__builtin_popcountll(occ[w]));
+  return filled == table.radix();
+}
+
+/// True when some live node other than `n` appears in n's row `level` or
+/// among its level-`level` backpointers: the peers find_replacement asks,
+/// and (row members only) the test that lets its multicast leave n.
+bool has_live_level_contact(const NodeRegistry& reg, const TapestryNode& n,
+                            unsigned level) {
+  const RoutingTable& table = n.table();
+  const std::uint64_t* occ = table.row_occupancy(level);
+  for (unsigned j = occ::next(occ, table.radix(), 0); j != occ::kNone;
+       j = occ::next(occ, table.radix(), j + 1))
+    for (const auto& e : table.at(level, j).entries())
+      if (!(e.id == n.id()) && reg.is_live(e.id)) return true;
+  for (const NodeId& b : table.backpointers(level))
+    if (!(b == n.id()) && reg.is_live(b)) return true;
+  return false;
+}
+
+}  // namespace
 
 MaintenanceEngine::MaintenanceEngine(NodeRegistry& registry, Router& router,
                                      ObjectDirectory& directory,
@@ -171,35 +205,49 @@ void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
 
   // Pass 2..k: purge-time replacement searches can miss while other tables
   // are still dirty; retry emptied slots until nothing changes.  A memo of
-  // prefixes established (this sweep) to have no live node avoids
-  // re-multicasting for genuinely empty digit classes.
-  std::unordered_set<std::uint64_t> known_empty;
-  auto slot_key = [&](const TapestryNode& n, unsigned l, unsigned j) {
-    return (n.id().prefix_value(l) << params_.id.digit_bits | j) |
-           (static_cast<std::uint64_t>(l + 1) << 56);
-  };
+  // digit classes established (this sweep) to have no live node avoids
+  // re-multicasting for genuinely empty classes: one digit mask per
+  // (level, prefix), so classes of different levels never share a key.
+  std::vector<std::unordered_map<std::uint64_t, DigitMask>> known_empty(
+      digits);
   for (int round = 0; round < 4; ++round) {
     bool changed = false;
     for (const auto& n : reg_.nodes()) {
       if (!n->alive) continue;
+      const RoutingTable& table = n->table();
       for (unsigned l = 0; l < digits; ++l) {
+        if (row_full(table, l)) continue;
+        DigitMask& known = known_empty[l][n->id().prefix_value(l)];
+        // Without a live level-l contact, find_replacement has no peer to
+        // ask and its multicast fallback visits only n itself (which
+        // `offer` rejects): nullopt for every digit, with no message and
+        // no change.  So record the verdicts without running the searches.
+        if (!has_live_level_contact(reg_, *n, l)) {
+          for (unsigned j = 0; j < radix; ++j)
+            if (table.slot_empty(l, j)) known.set(j);
+          continue;
+        }
         for (unsigned j = 0; j < radix; ++j) {
-          if (!n->table().slot_empty(l, j)) continue;
-          const std::uint64_t key = slot_key(*n, l, j);
-          if (known_empty.count(key) != 0) continue;
-          const auto before = dir_.snapshot_pointer_hops(*n);
-          if (auto rep = find_replacement(*n, l, j, trace); rep.has_value()) {
-            link(*n, l, reg_.live(*rep));
-            dir_.reroute_changed_pointers(*n, before, trace);
-            changed = true;
-          } else {
-            known_empty.insert(key);
+          if (!table.slot_empty(l, j) || known.test(j)) continue;
+          const auto rep = find_replacement(*n, l, j, trace);
+          if (!rep.has_value()) {
+            known.set(j);
+            continue;
           }
+          // find_replacement leaves n's table and store untouched: the
+          // local search and Router::multicast only read tables (the
+          // multicast skips corpses, it never purges them).  So this
+          // snapshot equals one taken before the search.
+          const auto before = dir_.snapshot_pointer_hops(*n);
+          link(*n, l, reg_.live(*rep));
+          dir_.reroute_changed_pointers(*n, before, trace);
+          changed = true;
         }
       }
     }
     if (!changed) break;
-    known_empty.clear();  // new links may make old conclusions stale
+    // New links may make old conclusions stale.
+    for (auto& level_memo : known_empty) level_memo.clear();
   }
 }
 

@@ -244,6 +244,153 @@ TEST(Heartbeat, CountsProbeTraffic) {
   EXPECT_GE(t.messages(), g.net->total_table_entries());
 }
 
+// A node whose row 0 holds nobody but itself can still reach the missing
+// digit classes through its level-0 backpointer holders: the sweep's
+// replacement search asks them, so the sweep must not write the level off
+// just because the row itself is bare.
+TEST(Heartbeat, RefillsBareRowThroughBackpointerHolders) {
+  const TapestryParams p = small_params();
+  Rng rng(8);
+  RingMetric space(8, rng);
+  Network net(space, p, 151);
+  const NodeId n(p.id, 0x10000000), b(p.id, 0x20000000), c(p.id, 0x30000000);
+  net.bootstrap(0, n);
+  net.join(1, b);
+  net.join(2, c);
+  // b and c keep n in their tables, so n keeps their backpointers.
+  net.maintenance().unlink(net.node(n), 0, b);
+  net.maintenance().unlink(net.node(n), 0, c);
+  ASSERT_FALSE(net.node(n).table().row_has_other(0));
+  ASSERT_EQ(net.node(n).table().backpointers(0).count(b), 1u);
+  ASSERT_EQ(net.node(n).table().backpointers(0).count(c), 1u);
+  EXPECT_THROW(net.check_property1(), CheckError);
+
+  net.heartbeat_sweep();
+  EXPECT_TRUE(net.node(n).table().at(0, 2).contains(b));
+  EXPECT_TRUE(net.node(n).table().at(0, 3).contains(c));
+  net.check_property1();
+  net.check_backpointer_symmetry();
+}
+
+// With 64-bit ids the sweep's known-empty memo must still tell prefix
+// classes apart.  a and b differ only in their first digit; a's class
+// (14 digits of a, then 1) is empty, b's holds c.  A memo key that packs
+// (level, prefix, digit) into one 64-bit word loses that first digit at
+// level 14, and a's verdict then makes the sweep skip b's hole.
+TEST(Heartbeat, KnownEmptyMemoSeparatesSixtyFourBitPrefixes) {
+  TapestryParams p = small_params();
+  p.id = IdSpec{4, 16};
+  Rng rng(10);
+  RingMetric space(8, rng);
+  Network net(space, p, 153);
+  const NodeId a(p.id, 0x1000000000000000), b(p.id, 0x2000000000000000),
+      c(p.id, 0x2000000000000010);
+  net.bootstrap(0, a);  // registered first, so swept first
+  net.join(1, b);
+  net.join(2, c);
+  net.maintenance().unlink(net.node(b), 14, c);
+  ASSERT_TRUE(net.node(b).table().slot_empty(14, 1));
+  EXPECT_THROW(net.check_property1(), CheckError);
+
+  net.heartbeat_sweep();
+  EXPECT_TRUE(net.node(b).table().at(14, 1).contains(c));
+  net.check_property1();
+  net.check_backpointer_symmetry();
+}
+
+// A fixed damaged overlay: 12 corpses for the sweep's probes to find, and
+// on the server of every 4th published object the level-0 slot its guid
+// routes through emptied by hand.  Probes leave those holes alone; the
+// sweep's second pass must refill them and re-route the pointers whose
+// next hop moves back.
+test::GrownNetwork damaged_overlay() {
+  auto g = grow_ring_network(128, 152);
+  std::vector<std::pair<NodeId, Guid>> published;
+  for (std::uint64_t obj = 0; obj < 48; ++obj) {
+    published.emplace_back(g.ids[(obj * 7) % g.ids.size()],
+                           make_guid(*g.net, 800 + obj));
+    g.net->publish(published.back().first, published.back().second);
+  }
+  Rng rng(9);
+  for (int i = 0; i < 12; ++i) {
+    const auto ids = g.net->node_ids();
+    g.net->fail(ids[rng.next_u64(ids.size())]);
+  }
+  for (std::size_t i = 0; i < published.size(); i += 4) {
+    const auto& [server, guid] = published[i];
+    if (!g.net->contains(server)) continue;
+    TapestryNode& node = g.net->node(server);
+    const unsigned j = guid.digit(0);
+    if (j == server.digit(0)) continue;
+    std::vector<NodeId> members;
+    for (const auto& e : node.table().at(0, j).entries())
+      members.push_back(e.id);
+    for (const NodeId& m : members) g.net->maintenance().unlink(node, 0, m);
+  }
+  return g;
+}
+
+// Pins one sweep's protocol output on the damaged overlay: the traced
+// message total and the probe, multicast, pointer re-route and backward
+// delete counts.  The figures are those of a sweep that searches every
+// empty slot and snapshots pointer hops before each search; skipping
+// levels with no live contact and snapshotting only after a successful
+// search must leave every one of them unchanged.
+TEST(Heartbeat, PinnedSweepOutput) {
+  auto g = damaged_overlay();
+  const MessageKind kinds[] = {
+      MessageKind::kHeartbeatProbe, MessageKind::kMulticastForward,
+      MessageKind::kPointerOptimize, MessageKind::kDeleteBackward};
+  const TransportStats& stats = g.net->transport().stats();
+  std::vector<std::uint64_t> before;
+  for (MessageKind k : kinds) before.push_back(stats.kind_count(k));
+
+  Trace t;
+  g.net->heartbeat_sweep(&t);
+  std::vector<std::uint64_t> delta;
+  for (std::size_t i = 0; i < before.size(); ++i)
+    delta.push_back(stats.kind_count(kinds[i]) - before[i]);
+
+  EXPECT_EQ(t.messages(), 30471u);
+  EXPECT_EQ(delta, (std::vector<std::uint64_t>{18450, 2756, 23, 2}));
+  g.net->check_property1();
+  g.net->check_backpointer_symmetry();
+}
+
+// The sweep snapshots a node's pointer next hops only once
+// find_replacement has found a replacement.  That is sound because the
+// search (local asks, then the multicast fallback) never changes the
+// searching node's table or store — not even with corpses in its rows.
+TEST(Heartbeat, FindReplacementLeavesSearcherUntouched) {
+  auto g = damaged_overlay();
+  const unsigned digits = g.net->params().id.num_digits;
+  auto hops = [&](const TapestryNode& n) {
+    std::vector<std::pair<Guid, std::optional<NodeId>>> out;
+    for (const auto& p : g.net->directory().snapshot_pointer_hops(n))
+      out.emplace_back(p.guid, p.next_hop);
+    return out;
+  };
+  std::size_t found = 0, missed = 0;
+  for (const NodeId& id : g.net->node_ids()) {
+    TapestryNode& n = g.net->node(id);
+    for (unsigned l = 0; l < digits; ++l) {
+      for (unsigned j = 0; j < n.table().radix(); ++j) {
+        if (!n.table().slot_empty(l, j)) continue;
+        const std::size_t entries = n.table().total_entries();
+        const std::size_t records = n.store().size();
+        const auto hops_before = hops(n);
+        const auto rep = g.net->maintenance().find_replacement(n, l, j, nullptr);
+        ++(rep.has_value() ? found : missed);
+        ASSERT_EQ(n.table().total_entries(), entries);
+        ASSERT_EQ(n.store().size(), records);
+        ASSERT_EQ(hops(n), hops_before);
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(missed, 0u);
+}
+
 // ------------------------------------------------ store-at-root ablation
 
 TEST(RootStore, ContractPublishLocate) {

@@ -96,6 +96,30 @@ TEST_P(RadixTest, ChurnPreservesInvariants) {
   g.net->check_backpointer_symmetry();
 }
 
+TEST_P(RadixTest, HeartbeatSweepRepairsFailures) {
+  auto g = grow(80, 165);
+  Rng rng(4);
+  std::set<NodeId> dead;
+  while (dead.size() < 8) {  // 10 % of the overlay
+    const auto ids = g.net->node_ids();
+    const NodeId victim = ids[rng.next_u64(ids.size())];
+    g.net->fail(victim);
+    dead.insert(victim);
+  }
+  g.net->heartbeat_sweep();
+  const IdSpec spec = g.net->params().id;
+  for (const NodeId& id : g.net->node_ids()) {
+    const RoutingTable& table = g.net->node(id).table();
+    for (unsigned l = 0; l < spec.num_digits; ++l)
+      for (unsigned j = 0; j < spec.radix(); ++j)
+        for (const auto& e : table.at(l, j).entries())
+          EXPECT_EQ(dead.count(e.id), 0u)
+              << id.to_string() << " still references a corpse";
+  }
+  g.net->check_property1();
+  g.net->check_backpointer_symmetry();
+}
+
 TEST_P(RadixTest, HopCountTracksDigitCapacity) {
   auto g = grow(96, 164);
   Rng rng(3);
