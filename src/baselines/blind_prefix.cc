@@ -36,14 +36,13 @@ std::size_t BlindPrefixOverlay::add_node(Location loc, Trace* /*trace*/) {
 
 void BlindPrefixOverlay::finalize() {
   TAP_CHECK(!nodes_.empty(), "no nodes");
-  // Bucket nodes by (level+1)-digit prefix value.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-  auto key = [&](unsigned len, std::uint64_t prefix) {
-    return (static_cast<std::uint64_t>(len) << 56) | prefix;
-  };
+  // Bucket nodes by prefix value, one map per prefix length (a 64-bit id's
+  // prefix may use every bit, so the length cannot share the key).
+  std::vector<std::unordered_map<std::uint64_t, std::vector<std::size_t>>>
+      buckets(spec_.num_digits + 1);
   for (std::size_t h = 0; h < nodes_.size(); ++h)
     for (unsigned len = 1; len <= spec_.num_digits; ++len)
-      buckets[key(len, nodes_[h].id.prefix_value(len))].push_back(h);
+      buckets[len][nodes_[h].id.prefix_value(len)].push_back(h);
 
   for (std::size_t h = 0; h < nodes_.size(); ++h) {
     BNode& n = nodes_[h];
@@ -56,8 +55,9 @@ void BlindPrefixOverlay::finalize() {
           n.table[slot(l, j)] = h;  // self-entry, as in Tapestry
           continue;
         }
-        auto it = buckets.find(key(l + 1, base | j));
-        if (it == buckets.end()) continue;
+        const auto& bucket = buckets[l + 1];
+        auto it = bucket.find(base | j);
+        if (it == bucket.end()) continue;
         // Property 2 ablation: a UNIFORMLY RANDOM qualifying node.
         n.table[slot(l, j)] = it->second[rng_.next_u64(it->second.size())];
       }

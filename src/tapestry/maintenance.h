@@ -151,7 +151,7 @@ class MaintenanceEngine final : public RepairHandler {
   /// by construction), fanning the per-node work out across `workers`
   /// threads (0 = hardware concurrency).  The result is bit-identical for
   /// every worker count: forward tables are a per-node function of the
-  /// global candidate buckets, and backpointers land in ordered sets, so
+  /// id-sorted live nodes, and backpointers land in sorted vectors, so
   /// scheduling cannot leak into the outcome.
   void rebuild_static_tables(std::size_t workers = 1);
 

@@ -76,8 +76,14 @@ void Network::check_property1() const {
       for (unsigned j = 0; j < params_.id.radix(); ++j) {
         const auto& set = n->table().at(l, j);
         bool has_live = false;
-        for (const auto& e : set.entries())
+        for (const auto& e : set.entries()) {
+          // Slot (l, j) holds only (β, j) nodes, β = n's first l digits.
+          TAP_CHECK(e.id.matches_prefix(n->id(), l) && e.id.digit(l) == j,
+                    "slot prefix violated: node " + n->id().to_string() +
+                        " holds " + e.id.to_string() + " at level " +
+                        std::to_string(l) + " digit " + std::to_string(j));
           if (registry_.is_live(e.id)) has_live = true;
+        }
         if (has_live) continue;
         const std::uint64_t want =
             (n->id().prefix_value(l) << params_.id.digit_bits) | j;
@@ -94,15 +100,16 @@ void Network::check_property1() const {
 double Network::property2_quality() const {
   const unsigned digits = params_.id.num_digits;
   const unsigned radix = params_.id.radix();
-  // Bucket live nodes by (len, prefix value) for candidate enumeration.
-  std::unordered_map<std::uint64_t, std::vector<const TapestryNode*>> buckets;
-  auto key = [&](unsigned len, std::uint64_t prefix) {
-    return (static_cast<std::uint64_t>(len) << 56) | prefix;
-  };
+  // Bucket live nodes by prefix value, one map per prefix length (a
+  // length-l prefix of a 64-bit id may use all 64 bits, so packing the
+  // length into the key would collide).
+  std::vector<
+      std::unordered_map<std::uint64_t, std::vector<const TapestryNode*>>>
+      buckets(digits + 1);
   for (const auto& n : registry_.nodes()) {
     if (!n->alive) continue;
     for (unsigned len = 1; len <= digits; ++len)
-      buckets[key(len, n->id().prefix_value(len))].push_back(n.get());
+      buckets[len][n->id().prefix_value(len)].push_back(n.get());
   }
   std::size_t slots = 0, optimal = 0;
   for (const auto& n : registry_.nodes()) {
@@ -110,9 +117,10 @@ double Network::property2_quality() const {
     for (unsigned l = 0; l < digits; ++l) {
       for (unsigned j = 0; j < radix; ++j) {
         if (j == n->id().digit(l)) continue;  // self slot: trivially optimal
-        auto it = buckets.find(
-            key(l + 1, (n->id().prefix_value(l) << params_.id.digit_bits) | j));
-        if (it == buckets.end()) continue;  // no candidates exist
+        const auto& bucket = buckets[l + 1];
+        auto it = bucket.find(
+            (n->id().prefix_value(l) << params_.id.digit_bits) | j);
+        if (it == bucket.end()) continue;  // no candidates exist
         const auto& cands = it->second;
         double best = std::numeric_limits<double>::infinity();
         for (const TapestryNode* c : cands)
@@ -139,7 +147,9 @@ void Network::check_backpointer_symmetry() const {
           if (e.id == n->id()) continue;
           const TapestryNode* other = registry_.find(e.id);
           TAP_CHECK(other != nullptr, "table entry references unknown node");
-          TAP_CHECK(other->table().backpointers(l).count(n->id()) == 1,
+          const auto& holders = other->table().backpointers(l);
+          TAP_CHECK(std::binary_search(holders.begin(), holders.end(),
+                                       n->id()),
                     "missing backpointer: " + e.id.to_string() +
                         " lacks backpointer to " + n->id().to_string() +
                         " at level " + std::to_string(l));

@@ -1,6 +1,7 @@
 #include "src/tapestry/routing_table.h"
 
 #include <algorithm>
+#include <set>
 
 namespace tap {
 
@@ -93,23 +94,30 @@ std::size_t RoutingTable::total_entries() const {
 void RoutingTable::add_backpointer(unsigned level, NodeId who) {
   TAP_ASSERT(level < levels_);
   TAP_ASSERT_MSG(!(who == self_), "node cannot backpoint to itself");
-  backptrs_[level].insert(who);
+  std::vector<NodeId>& ids = backptrs_[level];
+  const auto it = std::lower_bound(ids.begin(), ids.end(), who);
+  if (it == ids.end() || !(*it == who)) ids.insert(it, who);
 }
 
 void RoutingTable::remove_backpointer(unsigned level, const NodeId& who) {
   TAP_ASSERT(level < levels_);
-  backptrs_[level].erase(who);
+  std::vector<NodeId>& ids = backptrs_[level];
+  const auto it = std::lower_bound(ids.begin(), ids.end(), who);
+  if (it != ids.end() && *it == who) ids.erase(it);
 }
 
-const std::set<NodeId>& RoutingTable::backpointers(unsigned level) const {
+const std::vector<NodeId>& RoutingTable::backpointers(unsigned level) const {
   TAP_ASSERT(level < levels_);
   return backptrs_[level];
 }
 
 std::vector<NodeId> RoutingTable::all_backpointers() const {
-  std::set<NodeId> uniq;
-  for (const auto& level : backptrs_) uniq.insert(level.begin(), level.end());
-  return {uniq.begin(), uniq.end()};
+  std::vector<NodeId> out;
+  for (const auto& level : backptrs_)
+    out.insert(out.end(), level.begin(), level.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 }  // namespace tap

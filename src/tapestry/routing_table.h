@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/common/assert.h"
@@ -164,9 +163,12 @@ class RoutingTable {
   [[nodiscard]] std::size_t total_entries() const;
 
   // --- backpointers ---
+  /// Adds `who` to the level's backpointers (no-op when already present).
   void add_backpointer(unsigned level, NodeId who);
+  /// Drops `who` from the level's backpointers (no-op when absent).
   void remove_backpointer(unsigned level, const NodeId& who);
-  [[nodiscard]] const std::set<NodeId>& backpointers(unsigned level) const;
+  /// The level's backpointers: unique ids in ascending order.
+  [[nodiscard]] const std::vector<NodeId>& backpointers(unsigned level) const;
   /// Unique nodes holding any backpointer to the owner.
   [[nodiscard]] std::vector<NodeId> all_backpointers() const;
 
@@ -192,7 +194,7 @@ class RoutingTable {
   unsigned words_;  // mask words per row
   std::vector<NeighborSet> slots_;
   std::vector<std::uint64_t> occupancy_;    // levels_ * words_ mask words
-  std::vector<std::set<NodeId>> backptrs_;  // per level
+  std::vector<std::vector<NodeId>> backptrs_;  // per level, sorted, unique
 };
 
 }  // namespace tap

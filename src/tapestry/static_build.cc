@@ -10,22 +10,28 @@
 //   1. fresh tables     — per node, independent (table construction alone
 //                         is levels * radix neighbor sets, a real cost at
 //                         100k nodes);
-//   2. forward tables   — per node, reading only the shared read-only
-//                         candidate buckets; each slot keeps the R closest
-//                         under the total order (distance, id), so the
-//                         outcome does not depend on scan interleaving;
+//   2. forward tables   — per node, one streaming pass over the shared
+//                         read-only array of live nodes sorted by id.  In
+//                         that order every (length, prefix) class is one
+//                         contiguous run: node n's row-l candidates are the
+//                         run sharing its length-l prefix, and slot (l, j)
+//                         is the sub-run whose digit l is j.  Each sub-run
+//                         is scanned once, keeping the R closest under the
+//                         total order (distance, id); only those are
+//                         offered to the slot;
 //   3. backpointers     — the inverse of the forward links, inserted into
-//                         per-level ordered sets under striped per-target
-//                         locks; set order canonicalises whatever insert
-//                         order the scheduler produced.
+//                         per-level sorted id vectors under striped
+//                         per-target locks; sorted order canonicalises
+//                         whatever insert order the scheduler produced.
 // Phases 2+3 replace the serial link() walk (which interleaves forward
 // inserts with backpointer bookkeeping on *other* nodes and therefore
 // cannot fan out); the final tables are identical because link() ends at
 // exactly "backpointers = inverse of forward links".
 #include "src/tapestry/maintenance.h"
 
+#include <algorithm>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 
 #include "src/sim/thread_pool.h"
 
@@ -34,11 +40,21 @@ namespace tap {
 void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
   const unsigned digits = params_.id.num_digits;
   const unsigned bits = params_.id.digit_bits;
+  const std::uint64_t digit_mask = params_.id.radix() - 1;
+  const std::size_t keep = params_.redundancy;
+  const MetricSpace& space = reg_.space();
 
+  // Live nodes in id order.  Phase 2 reads them as flat points; phase 3
+  // walks owners in this order, so with one worker every backpointer
+  // insert lands at the end of its vector.
   std::vector<TapestryNode*> live;
   live.reserve(reg_.live_count());
   for (const auto& n : reg_.nodes())
     if (n->alive) live.push_back(n.get());
+  std::sort(live.begin(), live.end(),
+            [](const TapestryNode* a, const TapestryNode* b) {
+              return a->id() < b->id();
+            });
 
   // Phase 1: fresh tables (drops any dynamically accumulated state).
   parallel_for(
@@ -49,54 +65,92 @@ void MaintenanceEngine::rebuild_static_tables(std::size_t workers) {
       },
       workers);
 
-  // Bucket live nodes by (prefix length, prefix value) — read-only below.
-  auto key = [&](unsigned len, std::uint64_t prefix) {
-    return (static_cast<std::uint64_t>(len) << 56) | prefix;
+  // The same nodes as flat {id, location} points — read-only below.
+  struct Point {
+    std::uint64_t id;
+    Location loc;
   };
-  std::unordered_map<std::uint64_t, std::vector<TapestryNode*>> buckets;
-  for (TapestryNode* n : live)
-    for (unsigned len = 1; len <= digits; ++len)
-      buckets[key(len, n->id().prefix_value(len))].push_back(n);
+  std::vector<Point> sorted;
+  sorted.reserve(live.size());
+  for (const TapestryNode* n : live)
+    sorted.push_back({n->id().value(), n->location()});
 
-  // Phase 2: every slot considers every qualifying node; NeighborSet
-  // retains the R closest, which is Property 2 by construction, and no
-  // slot with candidates stays empty, which is Property 1.  Each task
-  // writes only its own node's table.
+  // Phase 2: each slot is offered the R closest qualifying nodes.  A fresh,
+  // unpinned NeighborSet keeps the R closest of everything it is offered
+  // under a strict total order, whatever the offer order, so offering the
+  // sub-run's best R yields what offering the whole sub-run would: R
+  // closest, which is Property 2 by construction, and no slot with
+  // candidates stays empty, which is Property 1.  (In the own-digit slot
+  // the seeded self-entry competes like any offer.)  Each task writes only
+  // its own node's table.
   parallel_for(
       live.size(),
       [&](std::size_t i) {
         TapestryNode* n = live[i];
-        for (unsigned l = 0; l < digits; ++l) {
-          const std::uint64_t base = n->id().prefix_value(l) << bits;
-          for (unsigned j = 0; j < params_.id.radix(); ++j) {
-            auto it = buckets.find(key(l + 1, base | j));
-            if (it == buckets.end()) continue;
-            for (TapestryNode* cand : it->second) {
-              if (cand->id() == n->id()) continue;
-              n->table().consider(l, j, cand->id(), reg_.dist(*n, *cand));
+        RoutingTable& table = n->table();
+        const std::uint64_t self = n->id().value();
+        const Location here = n->location();
+        std::vector<std::pair<double, std::uint64_t>> best;  // (dist, id)
+        best.reserve(keep + 1);
+        // [lo, hi): the run sharing n's length-l prefix; the length-0 run
+        // is every node.  A run holding only n leaves all deeper rows with
+        // nothing but the self-entries phase 1 seeded.
+        std::size_t lo = 0, hi = sorted.size();
+        for (unsigned l = 0; l < digits && hi - lo > 1; ++l) {
+          const unsigned shift = (digits - 1 - l) * bits;
+          const unsigned own = n->id().digit(l);
+          std::size_t own_lo = lo, own_hi = lo;
+          // Within the run digit l is non-decreasing: sub-runs are
+          // consecutive, one per occupied digit.
+          for (std::size_t k = lo; k < hi;) {
+            const auto j =
+                static_cast<unsigned>((sorted[k].id >> shift) & digit_mask);
+            const std::size_t first = k;
+            best.clear();
+            for (; k < hi && ((sorted[k].id >> shift) & digit_mask) == j;
+                 ++k) {
+              if (sorted[k].id == self) continue;
+              const std::pair<double, std::uint64_t> c{
+                  space.distance(here, sorted[k].loc), sorted[k].id};
+              if (best.size() == keep && !(c < best.back())) continue;
+              best.insert(std::upper_bound(best.begin(), best.end(), c), c);
+              if (best.size() > keep) best.pop_back();
+            }
+            for (const auto& [dist, id] : best)
+              table.consider(l, j, NodeId(params_.id, id), dist);
+            if (j == own) {
+              own_lo = first;
+              own_hi = k;
             }
           }
+          lo = own_lo;
+          hi = own_hi;
         }
       },
       workers);
 
   // Phase 3: derive backpointers from the settled forward links.  Inserts
   // touch *other* nodes' tables, so they stripe-lock on the target; the
-  // per-level std::set makes the result order-independent.
+  // per-level sorted vector makes the result order-independent.
   constexpr std::size_t kStripes = 256;
   std::vector<std::mutex> stripes(kStripes);
   parallel_for(
       live.size(),
       [&](std::size_t i) {
-        TapestryNode* owner = live[i];
+        const TapestryNode* owner = live[i];
+        const RoutingTable& table = owner->table();
         for (unsigned l = 0; l < digits; ++l) {
-          for (const NodeId& member : owner->table().row_members(l)) {
-            if (member == owner->id()) continue;
-            TapestryNode* target = reg_.find(member);
-            TAP_ASSERT(target != nullptr);
-            std::lock_guard<std::mutex> lock(
-                stripes[splitmix64(member.value()) % kStripes]);
-            target->table().add_backpointer(l, owner->id());
+          const std::uint64_t* occ = table.row_occupancy(l);
+          for (unsigned j = occ::next(occ, table.radix(), 0); j != occ::kNone;
+               j = occ::next(occ, table.radix(), j + 1)) {
+            for (const auto& e : table.at(l, j).entries()) {
+              if (e.id == owner->id()) continue;
+              TapestryNode* target = reg_.find(e.id);
+              TAP_ASSERT(target != nullptr);
+              std::lock_guard<std::mutex> lock(
+                  stripes[splitmix64(e.id.value()) % kStripes]);
+              target->table().add_backpointer(l, owner->id());
+            }
           }
         }
       },

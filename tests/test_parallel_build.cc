@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/metric/general.h"
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
 #include "test_util.h"
@@ -74,6 +76,145 @@ TEST(ParallelBuild, SatisfiesOverlayInvariants) {
   b.net->check_backpointer_symmetry();
   // The static oracle is Property 2 (locality) by construction.
   EXPECT_DOUBLE_EQ(b.net->property2_quality(), 1.0);
+}
+
+// ---------------------------------------------------------------------
+// The oracle against brute force
+// ---------------------------------------------------------------------
+
+// Test-only reference for rebuild_static_tables: every slot is offered
+// every qualifying live node, in registry order, and backpointers are then
+// the inverse of the forward links.  Quadratic and serial on purpose.
+void brute_force_static_tables(Network& net) {
+  const IdSpec spec = net.params().id;
+  NodeRegistry& reg = net.registry();
+  std::vector<TapestryNode*> live;
+  for (const auto& n : reg.nodes())
+    if (n->alive) live.push_back(n.get());
+  for (TapestryNode* n : live)
+    n->table() = RoutingTable(spec, n->id(), net.params().redundancy);
+  for (TapestryNode* n : live) {
+    for (const TapestryNode* c : live) {
+      if (c == n) continue;
+      // c is a (β, c.digit(l)) node for every l up to the shared prefix.
+      const unsigned shared = n->id().common_prefix_len(c->id());
+      for (unsigned l = 0; l <= shared; ++l)
+        n->table().consider(l, c->id().digit(l), c->id(), reg.dist(*n, *c));
+    }
+  }
+  for (TapestryNode* n : live)
+    for (unsigned l = 0; l < spec.num_digits; ++l)
+      for (const NodeId& m : n->table().row_members(l))
+        if (!(m == n->id())) reg.find(m)->table().add_backpointer(l, n->id());
+}
+
+// Every live node's slot distances in fingerprint_tables walk order.
+std::vector<double> entry_distances(const Network& net) {
+  std::vector<double> out;
+  for (const auto& n : net.registry().nodes()) {
+    if (!n->alive) continue;
+    const RoutingTable& t = n->table();
+    for (unsigned l = 0; l < t.levels(); ++l)
+      for (unsigned j = 0; j < t.radix(); ++j)
+        for (const auto& e : t.at(l, j).entries()) out.push_back(e.dist);
+  }
+  return out;
+}
+
+TEST(ParallelBuild, OracleMatchesBruteForceReference) {
+  const std::vector<IdSpec> specs = {{1, 12}, {3, 10}, {4, 8},
+                                     {4, 16}, {6, 10}, {8, 4}};
+  const std::vector<std::string> metrics = {"ring", "torus", "transit-stub",
+                                            "euclid6d", "two-cluster"};
+  const unsigned redundancies[] = {1, 3, 4};
+  const std::size_t worker_counts[] = {1, 4};
+  unsigned cfg = 0;
+  for (const std::string& metric : metrics) {
+    for (const IdSpec& spec : specs) {
+      ++cfg;
+      // One larger overlay; the rest stay small to keep the sanitizer
+      // jobs quick while every (metric, id shape) pair is covered.
+      const std::size_t n =
+          metric == "ring" && spec == IdSpec{4, 8} ? 1500 : 120 + 8 * cfg;
+      Rng rng(cfg);
+      std::unique_ptr<MetricSpace> space;
+      if (metric == "ring") space = std::make_unique<RingMetric>(n, rng);
+      if (metric == "torus") space = std::make_unique<Torus2D>(n, rng);
+      if (metric == "transit-stub")
+        space = std::make_unique<TransitStubMetric>(n, rng);
+      if (metric == "euclid6d")
+        space = std::make_unique<HighDimEuclidean>(n, 6, rng);
+      if (metric == "two-cluster")
+        space = std::make_unique<TwoClusterMetric>(n, rng);
+      TapestryParams p = small_params();
+      p.id = spec;
+      p.redundancy = redundancies[cfg % 3];
+      const std::size_t workers = worker_counts[(cfg / 3) % 2];
+      Network net(*space, p, 1000 + cfg);
+      std::vector<Location> locs(n);
+      for (std::size_t i = 0; i < n; ++i) locs[i] = i;
+      net.insert_static_bulk(locs, 1);
+
+      brute_force_static_tables(net);
+      const std::uint64_t want = fingerprint_tables(net);
+      const std::vector<double> want_dists = entry_distances(net);
+      net.rebuild_static_tables(workers);
+      const std::string where = metric + " {" +
+                                std::to_string(spec.digit_bits) + "," +
+                                std::to_string(spec.num_digits) + "} R=" +
+                                std::to_string(p.redundancy) + " workers=" +
+                                std::to_string(workers);
+      EXPECT_EQ(fingerprint_tables(net), want) << where;
+      EXPECT_EQ(entry_distances(net), want_dists) << where;
+      EXPECT_NO_THROW(net.check_property1()) << where;
+    }
+  }
+}
+
+// Two 64-bit ids that share no prefix but whose 15-digit prefixes differ
+// only in the top digit: any bucket key that packs the prefix length into
+// the high bits of the prefix value merges them, putting each in the
+// other's level-14 slot.
+TEST(ParallelBuild, SixtyFourBitIdsLandOnlyInMatchingSlots) {
+  TapestryParams p = small_params();
+  p.id = IdSpec{4, 16};
+  Rng rng(3);
+  RingMetric space(4, rng);
+  Network net(space, p, 5);
+  const NodeId a(p.id, 0x3123456789ABCDE0ull);
+  const NodeId b(p.id, 0xF123456789ABCDE5ull);
+  net.insert_static(0, a);
+  net.insert_static(1, b);
+  net.rebuild_static_tables(1);
+  EXPECT_FALSE(net.node(a).table().at(14, 0xE).contains(b));
+  EXPECT_FALSE(net.node(b).table().at(14, 0xE).contains(a));
+  // Each holds the other exactly once: level 0, the other's first digit.
+  EXPECT_EQ(net.node(a).table().total_entries(), 1u);
+  EXPECT_TRUE(net.node(a).table().at(0, 0xF).contains(b));
+  EXPECT_EQ(net.node(b).table().total_entries(), 1u);
+  EXPECT_TRUE(net.node(b).table().at(0, 0x3).contains(a));
+  EXPECT_NO_THROW(net.check_property1());
+  EXPECT_NO_THROW(net.check_backpointer_symmetry());
+  EXPECT_DOUBLE_EQ(net.property2_quality(), 1.0);
+}
+
+TEST(ParallelBuild, Property1CheckRejectsMisplacedSlotMember) {
+  auto b = bulk_ring_network(64, 31, 1);
+  const NodeId& owner = b.ids[0];
+  // A node differing from the owner in its first two digits may sit at
+  // level 0 only; planted in a level-1 slot (closer than anything there,
+  // so it is kept) it breaks the slot prefix.
+  const auto stranger =
+      std::find_if(b.ids.begin(), b.ids.end(), [&](const NodeId& x) {
+        return x.digit(0) != owner.digit(0) && x.digit(1) != owner.digit(1);
+      });
+  ASSERT_NE(stranger, b.ids.end());
+  b.net->check_property1();
+  ASSERT_TRUE(b.net->node(owner)
+                  .table()
+                  .consider(1, stranger->digit(1), *stranger, 0.0)
+                  .inserted);
+  EXPECT_THROW(b.net->check_property1(), CheckError);
 }
 
 // ---------------------------------------------------------------------

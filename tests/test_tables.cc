@@ -3,6 +3,10 @@
 // soft-state expiry.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/tapestry/neighbor_set.h"
 #include "src/tapestry/object_store.h"
 #include "src/tapestry/routing_table.h"
@@ -171,6 +175,44 @@ TEST(RoutingTable, BackpointerBookkeeping) {
   table.remove_backpointer(1, nid(0x1234));
   EXPECT_EQ(table.backpointers(1).size(), 1u);
   EXPECT_EQ(table.all_backpointers().size(), 2u);  // still at level 2
+
+  // Set semantics: a repeated add keeps one copy, removing an absent id
+  // (or an id held only at another level) changes nothing.
+  table.add_backpointer(1, nid(0x1567));
+  EXPECT_EQ(table.backpointers(1), std::vector<NodeId>{nid(0x1567)});
+  table.remove_backpointer(1, nid(0x1999));
+  table.remove_backpointer(3, nid(0x1234));
+  EXPECT_EQ(table.backpointers(1), std::vector<NodeId>{nid(0x1567)});
+  EXPECT_EQ(table.backpointers(2), std::vector<NodeId>{nid(0x1234)});
+  EXPECT_TRUE(table.backpointers(3).empty());
+
+  // A seeded random add/remove sequence matches a std::set model element
+  // for element, in ascending order, at every level.
+  Rng rng(2024);
+  std::vector<std::set<NodeId>> model(kSpec.num_digits);
+  for (const NodeId& b : table.backpointers(1)) model[1].insert(b);
+  for (const NodeId& b : table.backpointers(2)) model[2].insert(b);
+  for (int step = 0; step < 4000; ++step) {
+    const auto level = static_cast<unsigned>(rng.next_u64(kSpec.num_digits));
+    // 48 ids: dense enough that adds hit duplicates and removes hit members.
+    const NodeId who = nid(0x2000 + rng.next_u64(48) * 0x111);
+    if (rng.next_u64(2) == 0) {
+      table.add_backpointer(level, who);
+      model[level].insert(who);
+    } else {
+      table.remove_backpointer(level, who);
+      model[level].erase(who);
+    }
+  }
+  std::set<NodeId> all;
+  for (unsigned l = 0; l < kSpec.num_digits; ++l) {
+    EXPECT_EQ(table.backpointers(l),
+              std::vector<NodeId>(model[l].begin(), model[l].end()))
+        << "level " << l;
+    all.insert(model[l].begin(), model[l].end());
+  }
+  EXPECT_EQ(table.all_backpointers(),
+            std::vector<NodeId>(all.begin(), all.end()));
 }
 
 // ---------------------------------------------------- MemoryStore backend
