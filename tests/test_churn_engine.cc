@@ -4,6 +4,8 @@
 // soak of the ChurnDriver's event engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -309,6 +311,138 @@ TEST(ChurnEngine, ReplicaCrashDuringFinalLegLosesQuery) {
   late.net->events().run();
   ASSERT_TRUE(late_result.has_value());
   EXPECT_TRUE(late_result->found);
+}
+
+// ------------------------------------------------- sync / event agreement
+
+// Every node's store as one comparable string: records sorted by (guid,
+// server), every field printed exactly (expiry as its bit pattern).
+std::string store_fingerprint(Network& net, const std::vector<NodeId>& ids) {
+  std::string out;
+  for (const NodeId& id : ids) {
+    auto recs = net.registry().checked(id).store().snapshot();
+    std::sort(recs.begin(), recs.end(), [](const auto& a, const auto& b) {
+      return std::make_pair(a.first.value(), a.second.server.value()) <
+             std::make_pair(b.first.value(), b.second.server.value());
+    });
+    out += id.to_string() + ':';
+    for (const auto& [guid, r] : recs) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &r.expires_at, sizeof bits);
+      out += guid.to_string() + '/' + r.server.to_string() + '/' +
+             (r.last_hop.has_value() ? r.last_hop->to_string() : "-") + '/' +
+             std::to_string(r.level) + '/' + (r.past_hole ? "h" : "-") + '/' +
+             std::to_string(bits) + ' ';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::uint64_t latency_bits(double latency) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &latency, sizeof bits);
+  return bits;
+}
+
+// With nothing else on the queue, an event-driven operation drained to
+// completion must behave exactly like the synchronous call: same answer,
+// same hop count, bit-equal latency, same store contents afterwards.  Run
+// over the locate branches one by one — cache jump/verify, §2.4 secondary
+// probe, Observation 1 retries over several roots, surrogate routing around
+// failed roots, and routing under an active partition.
+TEST(ChurnEngine, SyncAndEventLocateAgreePerOp) {
+  struct Config {
+    const char* name;
+    std::size_t cache = 0;
+    bool secondary = false;
+    bool multi_root = false;  // root_multiplicity 3 + retry_all_roots
+    bool fail_roots = false;  // three surrogate roots fail after publishing
+    bool partition = false;   // even/odd split after publishing
+  };
+  const std::vector<Config> configs = {
+      {"default"},
+      {"cache", 64},
+      {"secondary", 0, true},
+      {"multi_root", 0, false, true},
+      {"failed_roots", 0, false, false, true},
+      {"combined", 64, true, true, true},
+      {"partition", 0, false, false, false, true},
+  };
+  for (const Config& c : configs) {
+    SCOPED_TRACE(c.name);
+    TapestryParams p = small_params();
+    p.locate_cache_size = c.cache;
+    p.prr_secondary_search = c.secondary;
+    if (c.multi_root) {
+      p.root_multiplicity = 3;
+      p.retry_all_roots = true;
+    }
+    auto sync = test::grow_ring_network(64, 5, p);
+    auto event = test::grow_ring_network(64, 5, p);
+    ASSERT_EQ(sync.ids, event.ids);
+
+    Rng wl(91);
+    std::vector<Guid> guids;
+    std::vector<NodeId> servers;
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      const Guid guid = make_guid(*sync.net, 5000 + i);
+      const NodeId server = sync.ids[wl.next_u64(sync.ids.size())];
+      guids.push_back(guid);
+      servers.push_back(server);
+      sync.net->publish(server, guid);
+      bool published = false;
+      event.net->publish_async(server, guid, nullptr,
+                               [&] { published = true; });
+      event.net->events().run();
+      ASSERT_TRUE(published);
+    }
+    if (c.fail_roots) {
+      int failed = 0;
+      for (const Guid& guid : guids) {
+        const NodeId root = sync.net->surrogate_root(guid);
+        if (!sync.net->contains(root) ||
+            std::find(servers.begin(), servers.end(), root) != servers.end())
+          continue;
+        sync.net->fail(root);
+        event.net->fail(root);
+        if (++failed == 3) break;
+      }
+      ASSERT_EQ(failed, 3);
+    }
+    if (c.partition) {
+      std::vector<NodeId> side_b;
+      for (std::size_t i = 0; i < sync.ids.size(); i += 2)
+        side_b.push_back(sync.ids[i]);
+      sync.net->set_partition(side_b);
+      event.net->set_partition(side_b);
+    }
+
+    const std::vector<NodeId> clients = sync.net->node_ids();
+    std::size_t found = 0;
+    for (int q = 0; q < 400; ++q) {
+      const NodeId client = clients[wl.next_u64(clients.size())];
+      const Guid& guid = guids[wl.next_u64(guids.size())];
+      const LocateResult a = sync.net->locate(client, guid);
+      std::optional<LocateResult> b;
+      event.net->locate_async(client, guid,
+                              [&](const LocateResult& r) { b = r; });
+      event.net->events().run();
+      ASSERT_TRUE(b.has_value());
+      ASSERT_EQ(a.found, b->found) << "query " << q;
+      ASSERT_EQ(a.hops, b->hops) << "query " << q;
+      ASSERT_EQ(latency_bits(a.latency), latency_bits(b->latency))
+          << "query " << q;
+      if (a.found) {
+        ++found;
+        ASSERT_EQ(a.server, b->server) << "query " << q;
+        ASSERT_EQ(a.pointer_node, b->pointer_node) << "query " << q;
+      }
+    }
+    EXPECT_GT(found, 0u);
+    EXPECT_EQ(store_fingerprint(*sync.net, sync.ids),
+              store_fingerprint(*event.net, event.ids));
+  }
 }
 
 // ------------------------------------------------------- soft-state timers
