@@ -255,7 +255,8 @@ class Network {
   }
 
   /// Event-driven locate: one routing decision per event; `done` fires at
-  /// completion with the same LocateResult the synchronous path returns.
+  /// completion with the same LocateResult locate() returns when nothing
+  /// else interleaves (both run the directory's one step machine).
   void locate_async(NodeId client, const Guid& guid,
                     ObjectDirectory::LocateCallback done,
                     Trace* trace = nullptr) {

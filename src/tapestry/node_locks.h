@@ -1,8 +1,8 @@
 // NodeLockTable: striped per-node mutexes for the thread-parallel
 // protocol paths — §4.4 joins (threaded_join.h), §5.1 leaves / §5.2
 // fail-stop repair / heartbeat sweeps (threaded_repair.h), and the
-// guarded §4.2 pointer reroutes those repair waves perform inline
-// (ObjectDirectory::*_guarded).
+// locked §4.2 pointer reroutes those repair waves perform inline
+// (the ObjectDirectory reroute helpers given a lock table).
 //
 // The registry's index is already lock-free for readers, and the object
 // stores bring their own synchronisation (ShardedStore's guid stripes) —

@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -49,10 +48,37 @@ class ObjectDirectory {
   /// overlay's; standalone directories use the shared direct fallback.
   void bind_transport(Transport* transport) noexcept;
 
-  // --- publication and location (§2.2) ---
+  // --- publication and location (§2.2): one step machine, two drivers ---
+  // Publish and locate are per-node steps, each returning its continuation
+  // (next step + delay).  The inline driver (publish, locate, republish_*)
+  // loops over them on the stack: nothing fires between steps, and costs
+  // go straight to `trace`.  The evented driver (*_async) makes each step
+  // an EventQueue event, so churn, repairs and timers interleave with it
+  // (§6.5's execution model); costs land in a per-operation Trace absorbed
+  // into `trace` at completion.
   void publish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   void unpublish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   LocateResult locate(NodeId client, const Guid& guid, Trace* trace = nullptr);
+  using LocateCallback = std::function<void(const LocateResult&)>;
+  using PublishCallback = std::function<void()>;
+
+  /// Event-driven publish.  The replica registration is immediate (the
+  /// server stores the object from now on); the pointer deposits walk each
+  /// salted root path hop by hop.  A path whose carrier node dies mid-walk
+  /// aborts quietly — soft-state republish is the backstop, as in §6.5.
+  void publish_async(NodeId server, const Guid& guid, Trace* trace = nullptr,
+                     PublishCallback done = nullptr);
+
+  /// Event-driven locate: one routing decision per event.  The query
+  /// observes whatever directory state holds when each hop fires.  A query
+  /// stranded on a node that dies mid-flight loses that root attempt (and
+  /// retries remaining roots under retry_all_roots).
+  void locate_async(NodeId client, const Guid& guid, LocateCallback done,
+                    Trace* trace = nullptr);
+  /// Operations in flight on the event queue (drivers drain to zero).
+  [[nodiscard]] std::size_t async_in_flight() const noexcept {
+    return in_flight_;
+  }
 
   /// One replica registration for publish_batch.
   struct PublishRequest {
@@ -82,38 +108,6 @@ class ObjectDirectory {
   void publish_batch(const std::vector<PublishRequest>& batch,
                      std::size_t workers = 0, Trace* trace = nullptr,
                      bool guarded = false);
-
-  // --- event-driven publication and location ---
-  // Per-hop decomposition of publish/locate onto the EventQueue: each
-  // routing hop is a separate event, delayed by the link's metric distance
-  // scaled by params.hop_delay_scale, so repairs, republishes and expiry
-  // genuinely interleave with in-flight operations (the execution model
-  // §6.5's churn results assume).  All cost accounting for one operation
-  // lands in a private per-operation Trace and is absorbed into `trace` at
-  // completion, so per-query hop/latency figures stay exact even when many
-  // operations overlap.
-  using LocateCallback = std::function<void(const LocateResult&)>;
-  using PublishCallback = std::function<void()>;
-
-  /// Event-driven publish.  The replica registration is immediate (the
-  /// server stores the object from now on); the pointer deposits walk each
-  /// salted root path hop by hop.  A path whose carrier node dies mid-walk
-  /// aborts quietly — soft-state republish is the backstop, as in §6.5.
-  void publish_async(NodeId server, const Guid& guid, Trace* trace = nullptr,
-                     PublishCallback done = nullptr);
-
-  /// Event-driven locate: one routing decision per event.  The query
-  /// observes whatever directory state holds when each hop fires.  A query
-  /// stranded on a node that dies mid-flight loses that root attempt (and
-  /// retries remaining roots under retry_all_roots, like the sync path).
-  void locate_async(NodeId client, const Guid& guid, LocateCallback done,
-                    Trace* trace = nullptr);
-
-  /// Operations currently in flight on the event queue (tests/drivers use
-  /// this to drain deterministically).
-  [[nodiscard]] std::size_t async_in_flight() const noexcept {
-    return in_flight_;
-  }
 
   // --- soft state (§6.5) ---
   void republish_all(Trace* trace = nullptr);
@@ -165,16 +159,21 @@ class ObjectDirectory {
   void stop_soft_state();
 
   // --- pointer maintenance (§4.2, Figure 9) ---
+  // With `locks` (repair waves racing on many threads) each routing
+  // decision peeks under the deciding node's stripe (node_locks.h) instead
+  // of repairing lazily; stores synchronise themselves (kSharded).
   /// Snapshot the records of `at` whose next hop will change if tables
   /// change; used around table mutations.
   [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops(
-      const TapestryNode& at) const;
+      const TapestryNode& at, const NodeLockTable* locks = nullptr) const;
   /// Re-push the affected records along the new paths (OPTIMIZEOBJECTPTRS).
   void reroute_changed_pointers(TapestryNode& at,
                                 const std::vector<PendingReroute>& before,
-                                Trace* trace);
+                                Trace* trace,
+                                const NodeLockTable* locks = nullptr);
   void optimize_pointer(TapestryNode& from, const Guid& guid,
-                        const PointerRecord& record, Trace* trace);
+                        const PointerRecord& record, Trace* trace,
+                        const NodeLockTable* locks = nullptr);
   /// `notifier` is the converge node that discovered the outdated branch:
   /// it originates the first delete message of the backward chain (§4.2).
   void delete_backward(const NodeId& notifier, const NodeId& start,
@@ -184,23 +183,9 @@ class ObjectDirectory {
       const TapestryNode& at, const Guid& guid,
       const PointerRecord& record) const;
 
-  // --- guarded pointer maintenance (§4.2 inside thread-parallel waves) ---
-  // Stripe-locked variants of the block above for repair waves that mutate
-  // routing tables from many threads: every table read happens under the
-  // owning node's stripe in `locks`, one guard at a time (the node_locks.h
-  // discipline), and pointer deposits rely on the store backend's own
-  // synchronisation (StoreBackend::kSharded when genuinely racing).
-  [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops_guarded(
-      const TapestryNode& at, const NodeLockTable& locks) const;
-  void reroute_changed_pointers_guarded(
-      TapestryNode& at, const std::vector<PendingReroute>& before,
-      const NodeLockTable& locks, Trace* trace);
-  void optimize_pointer_guarded(TapestryNode& from, const Guid& guid,
-                                const PointerRecord& record,
-                                const NodeLockTable& locks, Trace* trace);
   /// Quiescent convergence pass after a threaded wave: re-pushes every
   /// record whose snapshot-time next hop no longer holds it (two waves'
-  /// guarded reroutes can interleave so a deposit lands after its holder's
+  /// locked reroutes can interleave so a deposit lands after its holder's
   /// snapshot was taken; serial execution cannot).  Iterates to a fixed
   /// point (bounded by the digit count) and returns the number of records
   /// re-pushed.  With this pass, threaded repair restores Property-4-style
@@ -225,7 +210,7 @@ class ObjectDirectory {
 
   // --- locate cache (hotspot.h) ---
   /// The per-node locate cache (disabled when params.locate_cache_size is
-  /// 0).  Both locate paths consult it at every node of the walk before
+  /// 0).  Locates consult it at every node of the walk before
   /// routing onward and repopulate it on success; every hit re-reads the
   /// remembered holder's store before resolving, so cached and uncached
   /// locates agree on found/not-found (see hotspot.h).
@@ -258,25 +243,41 @@ class ObjectDirectory {
   }
 
  private:
-  struct AsyncLocateOp;
-  struct AsyncPublishOp;
-  void begin_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_cache_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_replica_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void next_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void finish_locate(const std::shared_ptr<AsyncLocateOp>& op);
-  void begin_publish_path(const std::shared_ptr<AsyncPublishOp>& op);
-  void publish_step(const std::shared_ptr<AsyncPublishOp>& op);
+  struct LocateOp;
+  struct PublishOp;
+  template <class Op> struct Next {  ///< a step's continuation
+    Next (ObjectDirectory::*step)(Op&) = nullptr;  ///< null: op complete
+    double delay = 0.0;  ///< simulated time before `step` runs
+  };
+  template <class Op> void run_inline(Op& op, Next<Op> next);
+  template <class Op>
+  void run_evented(const std::shared_ptr<Op>& op, Next<Op> next);
+  void complete(LocateOp& op);  ///< evented completions
+  void complete(PublishOp& op);
+
+  void start_locate(LocateOp& op, NodeId client, const Guid& guid);
+  Next<LocateOp> begin_locate_attempt(LocateOp& op);
+  Next<LocateOp> next_locate_attempt(LocateOp& op);
+  Next<LocateOp> locate_step(LocateOp& op);
+  Next<LocateOp> locate_cache_step(LocateOp& op);
+  Next<LocateOp> locate_replica_step(LocateOp& op);
+  /// A live replica's pointer was found at `holder`: start the final leg.
+  Next<LocateOp> resolve(LocateOp& op, TapestryNode& holder,
+                         const PointerRecord& rec, const Guid& via);
+  Next<PublishOp> begin_publish_path(PublishOp& op);
+  Next<PublishOp> publish_step(PublishOp& op);
+  void publish_paths(const NodeId& server, const Guid& guid, Trace* trace);
+  void register_replica(const Guid& guid, const NodeId& server);
+  /// Returns the delivered payload: the record `to` deposits.
+  PointerRecord send_deposit(const NodeId& to, const Guid& target,
+                             const PointerRecord& rec);
+  /// Live, reachable (§2.4) secondaries of `primary`'s slot at the level.
+  std::vector<TapestryNode*> live_secondaries(const TapestryNode& at,
+                                              unsigned slot_level,
+                                              const NodeId& primary);
   void schedule_republish_tick(double every, Trace* trace);
   void schedule_expiry_tick(double every);
-
-  void publish_one(TapestryNode& server, const Guid& salted, Trace* trace);
   void unpublish_one(TapestryNode& server, const Guid& salted, Trace* trace);
-  /// One query attempt toward one (salted) root name.  `base` keys the
-  /// locate cache (nullptr skips caching, e.g. for internal probes).
-  LocateResult locate_attempt(TapestryNode& client, const Guid& target,
-                              Trace* trace, const Guid* base = nullptr);
   /// Deposits a locate-cache hint pointing at `holder` on every node the
   /// successful query walked through (paths toward a root converge, so
   /// hot objects get cached exactly where future queries will pass).
@@ -289,10 +290,8 @@ class ObjectDirectory {
       TapestryNode& holder, const Guid& target,
       const TapestryNode& relative_to);
 
-  /// Fire-and-forget wire delivery for messages whose payload carries no
-  /// fields the receiver continues from (probes, bounces, hop
-  /// notifications) — the kinds with onward-flowing payloads construct
-  /// and consume delivered Messages at their call sites instead.
+  /// Fire-and-forget delivery for messages the receiver does not continue
+  /// from (probes, bounces, hop notifications).
   void wire(MessageKind kind, const NodeId& src, const NodeId& dst,
             const Id& target) {
     (void)transport_->deliver(make_message(kind, src, dst, target));

@@ -445,6 +445,42 @@ TEST(ChurnEngine, SyncAndEventLocateAgreePerOp) {
   }
 }
 
+// Under a partition a pointer can name a same-side replica that exact-id
+// routing still cannot land on; the final leg then dead-ends at a
+// surrogate.  That miss must not carry the pointer it read as a location.
+TEST(ChurnEngine, MissReportsNoLocationUnderPartition) {
+  std::size_t misses = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    auto g = test::grow_ring_network(64, seed, small_params());
+    Rng wl(seed * 7919);
+    std::vector<Guid> guids;
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      guids.push_back(make_guid(*g.net, seed * 1000 + i));
+      g.net->publish(g.ids[wl.next_u64(g.ids.size())], guids.back());
+    }
+    std::vector<NodeId> side_b;
+    for (std::size_t i = 0; i < g.ids.size(); i += 2)
+      side_b.push_back(g.ids[i]);
+    g.net->set_partition(side_b);
+
+    auto expect_no_location = [&](const LocateResult& r) {
+      if (r.found) return;
+      ++misses;
+      EXPECT_EQ(r.server, NodeId{});
+      EXPECT_EQ(r.pointer_node, NodeId{});
+    };
+    for (int q = 0; q < 300; ++q) {
+      const NodeId client = g.ids[wl.next_u64(g.ids.size())];
+      const Guid& guid = guids[wl.next_u64(guids.size())];
+      expect_no_location(g.net->locate(client, guid));
+      g.net->locate_async(client, guid, expect_no_location);
+      g.net->events().run();
+    }
+  }
+  EXPECT_GT(misses, 0u) << "the partition must cause misses";
+}
+
 // ------------------------------------------------------- soft-state timers
 
 TEST(ChurnEngine, RepublishTimerRefreshesSoftState) {

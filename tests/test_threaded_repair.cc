@@ -195,6 +195,57 @@ TEST(ThreadedRepair, ThreadedLeaveAgreesWithSerial) {
   }
 }
 
+TEST(ThreadedRepair, LockedRerouteMatchesLockFreeOnQuiescentMesh) {
+  // The lock table only changes how each §4.2 routing decision is
+  // synchronised (a peek under the deciding node's stripe instead of the
+  // repairing route_step).  On a quiescent, fully live mesh both must make
+  // the same deposits and charge the same messages.
+  auto plain = test::grow_ring_network(48, 27, small_params());
+  auto locked = test::grow_ring_network(48, 27, small_params());
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const Guid guid = make_guid(*plain.net, 9100 + i);
+    plain.net->publish(plain.ids[(i * 7) % plain.ids.size()], guid);
+    locked.net->publish(locked.ids[(i * 7) % locked.ids.size()], guid);
+  }
+  auto snapshot_all = [](test::GrownNetwork& g, const NodeLockTable* locks) {
+    std::vector<std::vector<ObjectDirectory::PendingReroute>> out;
+    for (const NodeId& id : g.ids)
+      out.push_back(g.net->directory().snapshot_pointer_hops(
+          g.net->registry().checked(id), locks));
+    return out;
+  };
+  const NodeLockTable& locks = locked.net->registry().node_locks();
+  const auto plain_before = snapshot_all(plain, nullptr);
+  const auto locked_before = snapshot_all(locked, &locks);
+
+  // Joins move some of those hops onto the newcomers.
+  for (Location loc = 48; loc < 64; ++loc) {
+    plain.net->join(loc);
+    locked.net->join(loc);
+  }
+  ASSERT_EQ(fingerprint_stores(*plain.net), fingerprint_stores(*locked.net));
+
+  Trace plain_trace, locked_trace;
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < plain.ids.size(); ++i) {
+    TapestryNode& p = plain.net->registry().checked(plain.ids[i]);
+    TapestryNode& l = locked.net->registry().checked(locked.ids[i]);
+    for (const auto& r : plain_before[i])
+      if (plain.net->directory().pointer_next_hop(p, r.guid, r.record) !=
+          r.next_hop)
+        ++moved;
+    plain.net->directory().reroute_changed_pointers(p, plain_before[i],
+                                                    &plain_trace);
+    locked.net->directory().reroute_changed_pointers(l, locked_before[i],
+                                                     &locked_trace, &locks);
+  }
+  ASSERT_GT(moved, 0u) << "the joins must move some pointer hops";
+  EXPECT_GT(plain_trace.messages(), 0u);
+  EXPECT_EQ(plain_trace.messages(), locked_trace.messages());
+  EXPECT_EQ(plain_trace.latency(), locked_trace.latency());
+  EXPECT_EQ(fingerprint_stores(*plain.net), fingerprint_stores(*locked.net));
+}
+
 TEST(ThreadedRepair, GuardedPeekProberRacesFailWave) {
   // The TSan acceptance race: a prober thread hammers guarded root walks
   // from surviving sources while fail_and_repair_bulk tears 24 nodes out
