@@ -446,16 +446,12 @@ void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
       break;
     }
     if (params_.prr_secondary_search && state.level >= 1) {
-      // Withdraw the secondary-deposited copies symmetrically.
-      const unsigned slot_level = state.level - 1;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur->table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur->id()) continue;
-        if (TapestryNode* m = reg_.find(member.id); m != nullptr) {
-          reg_.acct(trace, *cur, *m, 1);
-          m->store().remove(salted, victim);
-        }
+      // Withdraw the secondary-deposited copies symmetrically, from the
+      // members a message can reach; copies stranded on the others expire
+      // (§6.5).
+      for (TapestryNode* m : live_secondaries(*cur, state.level - 1, *next)) {
+        reg_.acct(trace, *cur, *m, 1);
+        m->store().remove(salted, victim);
       }
     }
     TapestryNode& nxt = reg_.live(*next);

@@ -201,6 +201,66 @@ TEST(SecondarySearch, NeverWorseStretchOnAverageCostsMoreMessages) {
       << "secondary probes and deposits must show up in message counts";
 }
 
+TEST(SecondarySearch, UnpublishMessagesOnlyLiveReachableSecondaries) {
+  // The §2.4 withdrawal mirrors the secondary deposits of publish, which
+  // skip members that are dead or across a partition: no message can
+  // reach them, so none may be charged.
+  TapestryParams p = small_params();
+  p.prr_secondary_search = true;
+  auto g = static_ring_network(128, 149, p);
+  const NodeId server = g.ids[5];
+  Guid guid = make_guid(*g.net, 700);
+  for (std::uint64_t raw = 701;
+       g.net->router().route_to_root_peek(server, guid).hops < 3; ++raw)
+    guid = make_guid(*g.net, raw);
+  g.net->publish(server, guid);
+
+  // Each hop of the withdrawal path with the secondaries of the slot it
+  // routes through (route_step_peek makes the same choice as route_step
+  // on a mesh without dead primaries).
+  struct Hop {
+    NodeId from, to;
+    std::vector<NodeId> secondaries;
+  };
+  auto hops_of = [&] {
+    std::vector<Hop> hops;
+    RouteState st;
+    NodeId cur = server;
+    while (auto next = g.net->route_step_peek(cur, guid, st)) {
+      Hop h{cur, *next, {}};
+      const unsigned level = st.level - 1;
+      for (const auto& e : g.net->registry().checked(cur).table()
+                               .at(level, next->digit(level)).entries())
+        if (!(e.id == *next) && !(e.id == cur)) h.secondaries.push_back(e.id);
+      hops.push_back(h);
+      cur = *next;
+    }
+    return hops;
+  };
+  const std::vector<Hop> hops = hops_of();
+  std::set<std::uint64_t> on_path{server.value()};
+  for (const Hop& h : hops) on_path.insert(h.to.value());
+  std::vector<NodeId> off_path;  // secondaries no hop routes through
+  for (const Hop& h : hops)
+    for (const NodeId& s : h.secondaries)
+      if (on_path.count(s.value()) == 0) off_path.push_back(s);
+  ASSERT_GE(off_path.size(), 2u) << "need two off-path secondaries";
+
+  g.net->fail(off_path[0]);
+  g.net->set_partition({off_path[1]});
+  ASSERT_EQ(hops_of().size(), hops.size()) << "the path must not change";
+  std::size_t expected = 0;
+  for (const Hop& h : hops) {
+    ++expected;  // the withdrawal message itself
+    for (const NodeId& s : h.secondaries)
+      if (g.net->contains(s) && g.net->registry().reachable(h.from, s))
+        ++expected;
+  }
+  Trace trace;
+  g.net->unpublish(server, guid, &trace);
+  EXPECT_EQ(trace.messages(), expected);
+}
+
 // -------------------------------------------------- heartbeat sweep
 
 TEST(Heartbeat, PurgesEveryCorpseReference) {
