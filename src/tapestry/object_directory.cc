@@ -551,9 +551,9 @@ void ObjectDirectory::cache_fill_path(const Guid& base,
 
 void ObjectDirectory::start_locate(LocateOp& op, NodeId client,
                                    const Guid& guid) {
+  (void)reg_.live(client);
   TAP_CHECK(guid.valid() && guid.spec() == params_.id,
             "guid does not match the network's IdSpec");
-  TAP_CHECK(reg_.is_live(client), "locate: client must be alive");
   op.base = guid;
   op.client = client;
   // "At the beginning of the query, we select a root randomly from R_psi."
