@@ -49,13 +49,12 @@ class ObjectDirectory {
   void bind_transport(Transport* transport) noexcept;
 
   // --- publication and location (§2.2): one step machine, two drivers ---
-  // Publish and locate are per-node steps, each returning its continuation
+  // Publish and locate are per-node steps returning their continuation
   // (next step + delay).  The inline driver (publish, locate, republish_*)
-  // loops over them on the stack: nothing fires between steps, and costs
-  // go straight to `trace`.  The evented driver (*_async) makes each step
-  // an EventQueue event, so churn, repairs and timers interleave with it
-  // (§6.5's execution model); costs land in a per-operation Trace absorbed
-  // into `trace` at completion.
+  // loops over them on the stack: nothing fires between steps; costs go
+  // straight to `trace`.  The evented driver (*_async) makes each step an
+  // EventQueue event, so churn, repairs and timers interleave (§6.5); costs
+  // land in a per-operation Trace absorbed into `trace` at completion.
   void publish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   void unpublish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   LocateResult locate(NodeId client, const Guid& guid, Trace* trace = nullptr);
@@ -159,9 +158,8 @@ class ObjectDirectory {
   void stop_soft_state();
 
   // --- pointer maintenance (§4.2, Figure 9) ---
-  // With `locks` (repair waves racing on many threads) each routing
-  // decision peeks under the deciding node's stripe (node_locks.h) instead
-  // of repairing lazily; stores synchronise themselves (kSharded).
+  // With `locks` (threaded repair waves) each routing decision peeks under
+  // the deciding node's stripe (node_locks.h) instead of repairing lazily.
   /// Snapshot the records of `at` whose next hop will change if tables
   /// change; used around table mutations.
   [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops(
@@ -290,8 +288,10 @@ class ObjectDirectory {
       TapestryNode& holder, const Guid& target,
       const TapestryNode& relative_to);
 
-  /// Fire-and-forget delivery for messages the receiver does not continue
-  /// from (probes, bounces, hop notifications).
+  /// Fire-and-forget wire delivery for messages whose payload carries no
+  /// fields the receiver continues from (probes, bounces, hop
+  /// notifications) — the kinds with onward-flowing payloads construct
+  /// and consume delivered Messages at their call sites instead.
   void wire(MessageKind kind, const NodeId& src, const NodeId& dst,
             const Id& target) {
     (void)transport_->deliver(make_message(kind, src, dst, target));
