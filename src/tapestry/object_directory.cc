@@ -602,8 +602,6 @@ ObjectDirectory::begin_locate_attempt(LocateOp& op) {
   op.visited.clear();
   op.excluded.clear();
   op.path.clear();
-  op.replica_target = NodeId{};
-  op.leg_state = RouteState{};
   op.res = LocateResult{};  // a failed leg may have left partial fields
   op.msgs0 = op.t->messages();
   op.lat0 = op.t->latency();
