@@ -206,6 +206,11 @@ TEST(SecondarySearch, UnpublishMessagesOnlyLiveReachableSecondaries) {
   // skip members that are dead or across a partition: no message can
   // reach them, so none may be charged.
   TapestryParams p = small_params();
+  // The count below is path + secondaries only; the replicated backend
+  // would add the root's quorum-remove traffic, so pin the reference store
+  // regardless of the TAP_STORE matrix leg.
+  p.store_backend = StoreBackend::kMemory;
+  p.store_dir.clear();
   p.prr_secondary_search = true;
   auto g = static_ring_network(128, 149, p);
   const NodeId server = g.ids[5];
