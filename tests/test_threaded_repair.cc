@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ostream>
 #include <set>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@
 
 #include "src/common/assert.h"
 #include "src/tapestry/fingerprint.h"
+#include "src/tapestry/parallel_join.h"
 #include "src/tapestry/threaded_repair.h"
 #include "test_util.h"
 
@@ -322,6 +324,95 @@ TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
         g.net->locate(survivors[ql.next_u64(survivors.size())], guid).found)
         << "no republish happened; the wave itself must keep Property 4 "
            "locatability";
+}
+
+/// What one membership step leaves behind: the messages it charged and the
+/// table and store fingerprints right after it.
+struct StepOutput {
+  std::size_t messages = 0;
+  std::uint64_t tables = 0;
+  std::uint64_t stores = 0;
+  bool operator==(const StepOutput& o) const {
+    return messages == o.messages && tables == o.tables && stores == o.stores;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const StepOutput& s) {
+  return os << "{" << s.messages << "u, " << s.tables << "ull, " << s.stores
+            << "ull}";
+}
+
+StepOutput observe(const Network& net, std::size_t messages) {
+  return {messages, fingerprint_tables(net), fingerprint_stores(net)};
+}
+
+TEST(ThreadedRepair, MembershipStepsKeepPinnedOutputs) {
+  // Serial and threaded drivers run the same per-node table-link, §5
+  // repair and §4.4 join steps.  At one worker parallel_for runs inline,
+  // so every driver is deterministic and its exact messages, tables and
+  // stores can be pinned: a change to any shared step moves these values.
+  auto serial = test::grow_ring_network(96, 416, sharded_params());
+  auto wave = test::grow_ring_network(96, 416, sharded_params());
+  const auto& ids = serial.ids;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const Guid guid = make_guid(*serial.net, 9500 + i);
+    serial.net->publish(ids[(i * 7 + 3) % ids.size()], guid);
+    wave.net->publish(ids[(i * 7 + 3) % ids.size()], guid);
+  }
+  const std::vector<NodeId> leavers = {ids[1], ids[13], ids[25], ids[37]};
+  const std::vector<NodeId> failed = {ids[49], ids[61], ids[73], ids[85]};
+  std::vector<StepOutput> got;
+
+  Trace t_leave;
+  for (const NodeId& v : leavers) serial.net->leave(v, &t_leave);
+  got.push_back(observe(*serial.net, t_leave.messages()));
+  Trace t_sweep;
+  for (const NodeId& v : failed) serial.net->fail(v);
+  serial.net->heartbeat_sweep(&t_sweep);
+  got.push_back(observe(*serial.net, t_sweep.messages()));
+  ParallelJoinCoordinator coord(*serial.net, 0.05);
+  std::vector<ParallelJoinCoordinator::Request> reqs(8);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].loc = 96 + i;
+    reqs[i].gateway = ids[2 + 10 * i];
+    reqs[i].start_time = serial.net->events().now() + 0.002 * i;
+  }
+  std::size_t coord_msgs = 0;
+  for (const auto& o : coord.run(reqs)) coord_msgs += o.messages;
+  got.push_back(observe(*serial.net, coord_msgs));
+
+  Trace t_leave_bulk;
+  wave.net->leave_bulk(leavers, 1, &t_leave_bulk);
+  got.push_back(observe(*wave.net, t_leave_bulk.messages()));
+  Trace t_fail_bulk;
+  wave.net->fail_and_repair_bulk({failed[0], failed[1]}, 1, &t_fail_bulk);
+  got.push_back(observe(*wave.net, t_fail_bulk.messages()));
+  Trace t_sweep_bulk;
+  wave.net->fail(failed[2]);
+  wave.net->fail(failed[3]);
+  wave.net->heartbeat_sweep_bulk(1, &t_sweep_bulk);
+  got.push_back(observe(*wave.net, t_sweep_bulk.messages()));
+  std::vector<JoinRequest> joins(8);
+  for (std::size_t i = 0; i < joins.size(); ++i) joins[i].loc = 96 + i;
+  wave.net->join_bulk(joins, 1);
+  got.push_back(observe(*wave.net, 0));
+
+  const std::vector<StepOutput> want = {
+      {776u, 5822400657062616497ull, 14402640940877895600ull},
+      {13015u, 7485316115547238187ull, 9614133797766009052ull},
+      {1619u, 5323778958982670058ull, 10788480928525166367ull},
+      {17168u, 5822400657062616497ull, 14402640940877895600ull},
+      {15900u, 13130865350153151514ull, 15581092207174655615ull},
+      {31004u, 7485316115547238187ull, 9614133797766009052ull},
+      {0u, 5323778958982670058ull, 10611519192796549106ull},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "step " << i;
+  serial.net->check_property1();
+  serial.net->check_backpointer_symmetry();
+  wave.net->check_property1();
+  wave.net->check_backpointer_symmetry();
 }
 
 TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
