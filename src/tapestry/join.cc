@@ -23,6 +23,11 @@
 // of every (prefix, j) that exists, so the new node's table satisfies
 // Property 1 deterministically — the k-list only bounds who is *measured*
 // for the recursion, mirroring the role k plays in the paper's analysis.
+//
+// The §4.4 simultaneous-insertion steps (multicast forwarding rule, watch
+// list, pinned pointers) live here too: the event coordinator
+// (parallel_join.h) and the threaded driver (threaded_join.h) both call
+// them, the latter with the lock table.
 #include "src/tapestry/maintenance.h"
 
 #include <algorithm>
@@ -94,23 +99,26 @@ NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
 void MaintenanceEngine::copy_preliminary_table(TapestryNode& nn,
                                                TapestryNode& surrogate,
                                                unsigned max_level,
-                                               Trace* trace) {
+                                               Trace* trace,
+                                               const NodeLockTable* locks) {
   reg_.acct(trace, nn, surrogate, 2);  // request + bulk reply
   // Rows 0..max_level of the surrogate hold nodes sharing the corresponding
   // prefix of the surrogate's ID, which equals ours up to max_level — all
-  // valid candidates for the same rows of our table.
-  const unsigned digits = params_.id.num_digits;
-  for (unsigned l = 0; l <= max_level && l < digits; ++l) {
-    for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      for (const auto& e : surrogate.table().at(l, j).entries()) {
-        if (e.id == nn.id()) continue;
-        if (TapestryNode* cand = reg_.find(e.id);
-            cand != nullptr && cand->alive)
-          link(nn, l, *cand);
-      }
-    }
+  // valid candidates for the same rows of our table.  The reply is the
+  // rows as read under the surrogate's stripe; linking happens after.
+  std::vector<std::pair<unsigned, NodeId>> cands;
+  {
+    const auto g = maybe_lock(locks, surrogate.id());
+    const unsigned digits = params_.id.num_digits;
+    for (unsigned l = 0; l <= max_level && l < digits; ++l)
+      for (unsigned j = 0; j < params_.id.radix(); ++j)
+        for (const auto& e : surrogate.table().at(l, j).entries())
+          if (!(e.id == nn.id())) cands.emplace_back(l, e.id);
   }
-  add_to_table_if_closer(nn, surrogate);
+  for (const auto& [l, id] : cands)
+    if (TapestryNode* cand = reg_.find(id); cand != nullptr && cand->alive)
+      link(nn, l, *cand, locks);
+  add_to_table_if_closer(nn, surrogate, locks);
 }
 
 void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
@@ -147,21 +155,16 @@ std::vector<NodeId> trim_closest_candidates(const NodeRegistry& reg,
   return list;
 }
 
-std::vector<NodeId> MaintenanceEngine::trim_closest(const TapestryNode& nn,
-                                                    std::vector<NodeId> list,
-                                                    std::size_t k) const {
-  return trim_closest_candidates(reg_, nn, std::move(list), k);
-}
-
 void MaintenanceEngine::build_row_from_list(TapestryNode& nn,
                                             const std::vector<NodeId>& list,
-                                            unsigned level) {
+                                            unsigned level,
+                                            const NodeLockTable* locks) {
   for (const NodeId& x : list) {
     if (x == nn.id() || !reg_.is_live(x)) continue;
     TapestryNode& cand = reg_.live(x);
     TAP_ASSERT_MSG(nn.id().common_prefix_len(x) >= level,
                    "candidate does not share the row prefix");
-    link(nn, level, cand);
+    link(nn, level, cand, locks);
   }
 }
 
@@ -212,14 +215,134 @@ void MaintenanceEngine::acquire_neighbor_table(TapestryNode& nn,
   // Level max_level: the multicast already visited every α-node, so the
   // initial candidate set is complete by construction.
   build_row_from_list(nn, initial_list, max_level);
-  std::vector<NodeId> list = trim_closest(nn, std::move(initial_list), k);
+  std::vector<NodeId> list =
+      trim_closest_candidates(reg_, nn, std::move(initial_list), k);
 
   for (unsigned level = max_level; level-- > 0;) {
     std::vector<NodeId> candidates =
         get_next_list(nn, list, level, contacted, trace);
     build_row_from_list(nn, candidates, level);
-    list = trim_closest(nn, std::move(candidates), k);
+    list = trim_closest_candidates(reg_, nn, std::move(candidates), k);
   }
+}
+
+// ---------------------------------------------------------------------
+// Simultaneous insertion (§4.4, Figure 11)
+// ---------------------------------------------------------------------
+
+std::vector<MulticastChild> multicast_children(
+    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
+    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
+    const std::unordered_set<std::uint64_t>& processed) {
+  const NodeId at_id = at.id();
+  const unsigned digits = reg.params().id.num_digits;
+  const unsigned radix = reg.params().id.radix();
+  std::vector<MulticastChild> children;
+
+  // Walk our own prefix chain, collecting forwarding targets row by row;
+  // self-messages are free and immediate, so the levels where we are the
+  // chosen recipient collapse into the caller's single visit.  Per slot
+  // the recipients are one unpinned member plus ALL pinned members
+  // (Lemma 4); the inserter itself is never forwarded to.
+  for (unsigned l = prefix_len; l < digits; ++l) {
+    bool row_has_other = false;
+    for (unsigned j = 0; j < radix; ++j) {
+      bool unpinned_taken = false;
+      for (const auto& e : at.table().at(l, j).entries()) {
+        if (e.id == nn) continue;
+        if (e.id == at_id) {
+          unpinned_taken = true;  // the self-message collapses into here
+          continue;
+        }
+        const TapestryNode* m = reg.find(e.id);
+        if (m == nullptr || !m->alive) continue;
+        row_has_other = true;
+        if (e.pinned) {
+          children.push_back({e.id, l + 1});
+        } else if (!unpinned_taken) {
+          unpinned_taken = true;
+          children.push_back({e.id, l + 1});
+        }
+      }
+    }
+    if (!row_has_other) break;  // alone from this level on: we are a leaf
+  }
+
+  // MULTICASTTOFILLEDHOLE (Figure 11 line 9): if the hole this session
+  // fills is already occupied by someone else, forward to them too so
+  // conflicting inserters learn of each other (Lemma 5).
+  for (const auto& e : at.table().at(alpha, hole_digit).entries()) {
+    if (e.id == nn || e.id == at_id) continue;
+    if (processed.count(e.id.value()) != 0) continue;
+    const TapestryNode* m = reg.find(e.id);
+    if (m == nullptr || !m->alive) continue;
+    children.push_back({e.id, alpha + 1});
+  }
+  return children;
+}
+
+WatchList MaintenanceEngine::watch_list(const TapestryNode& nn,
+                                        const NodeLockTable* locks) const {
+  const unsigned radix = params_.id.radix();
+  const std::uint64_t full_row =
+      radix == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << radix) - 1;
+  WatchList watch(params_.id.num_digits, 0);
+  const auto g = maybe_lock(locks, nn.id());
+  for (unsigned l = 0; l < watch.size(); ++l)
+    watch[l] = ~nn.table().row_mask64(l) & full_row;
+  return watch;
+}
+
+void MaintenanceEngine::serve_watch_list(TapestryNode& at, TapestryNode& nn,
+                                         WatchList& watch, Trace& trace,
+                                         const NodeLockTable* locks) {
+  const unsigned gcp = at.id().common_prefix_len(nn.id());
+  // Can this node fill slot (l, j) of the inserter?  Its own (l, j)
+  // entries share prefix nn[0..l)·j because l <= gcp.  Fillers are found
+  // under its stripe, then reported to the inserter outside it.
+  std::vector<std::pair<unsigned, NodeId>> fillers;
+  {
+    const auto g = maybe_lock(locks, at.id());
+    for (unsigned l = 0; l < watch.size() && l <= gcp; ++l) {
+      if (watch[l] == 0) continue;
+      for (unsigned j = 0; j < params_.id.radix(); ++j) {
+        if ((watch[l] & (std::uint64_t{1} << j)) == 0) continue;
+        for (const auto& e : at.table().at(l, j).entries()) {
+          if (e.id == nn.id()) continue;
+          const TapestryNode* filler = reg_.find(e.id);
+          if (filler == nullptr || !filler->alive) continue;
+          fillers.emplace_back(l, e.id);
+          watch[l] &= ~(std::uint64_t{1} << j);  // found before forwarding
+          break;
+        }
+      }
+    }
+  }
+  for (const auto& [l, id] : fillers) {
+    trace.hop(reg_.distance(at.id(), nn.id()));  // the report message
+    if (TapestryNode* filler = reg_.find(id); filler != nullptr &&
+                                              filler->alive)
+      link(nn, l, *filler, locks);
+  }
+}
+
+void MaintenanceEngine::pin(TapestryNode& at, TapestryNode& nn,
+                            unsigned alpha, unsigned hole_digit,
+                            const NodeLockTable* locks) {
+  const auto g = maybe_lock(locks, at.id(), nn.id());
+  at.table().pin(alpha, hole_digit, nn.id(), reg_.dist(at, nn));
+  nn.table().add_backpointer(alpha, at.id());
+}
+
+void MaintenanceEngine::unpin(TapestryNode& at, const NodeId& nn,
+                              unsigned alpha, unsigned hole_digit,
+                              const NodeLockTable* locks) {
+  std::vector<NodeId> evicted;
+  {
+    const auto g = maybe_lock(locks, at.id());
+    at.table().unpin(alpha, hole_digit, nn, evicted);
+  }
+  for (const NodeId& ev : evicted) sync_backpointer(at.id(), ev, alpha, locks);
 }
 
 }  // namespace tap

@@ -7,7 +7,9 @@
 // pointer hygiene); objects the leaver *rooted* migrate to their new
 // surrogates as a side effect of the holders' pointer re-routing.
 //
-// The involuntary-delete path (§5.2) — fail(), lazy repair, the heartbeat
+// The per-holder notification and REMOVELINK are the steps the threaded
+// wave (threaded_repair.h) runs too, with the lock table.  The
+// involuntary-delete path (§5.2) — fail(), lazy repair, the heartbeat
 // sweep — lives in maintenance.cc.
 #include "src/tapestry/maintenance.h"
 
@@ -41,38 +43,48 @@ void MaintenanceEngine::leave(NodeId id, Trace* trace) {
 
     const std::vector<NodeId> holders(a.table().backpointers(l).begin(),
                                       a.table().backpointers(l).end());
-    for (const NodeId& holder : holders) {
-      if (!reg_.is_live(holder)) continue;
-      TapestryNode& b = reg_.live(holder);
-      reg_.acct(trace, a, b, 1);  // LEAVINGNETWORK notification with hints
-      const auto before = dir_.snapshot_pointer_hops(b);
-      unlink(b, l, id);
-      for (const NodeId& h : hints)
-        if (!(h == holder) && reg_.is_live(h)) link(b, l, reg_.live(h));
-      if (b.table().slot_empty(l, id.digit(l))) {
-        if (auto rep = find_replacement(b, l, id.digit(l), trace);
-            rep.has_value())
-          link(b, l, reg_.live(*rep));
-      }
-      // Re-route local pointers that used to travel through the leaver —
-      // including those the leaver *rooted*, which now flow onward to
-      // their new surrogate roots.
-      dir_.reroute_changed_pointers(b, before, trace);
-    }
+    for (const NodeId& holder : holders)
+      if (reg_.is_live(holder))
+        notify_leave(a, reg_.live(holder), l, hints, trace);
   }
 
   // 2. REMOVELINK: retract our own forward links so no one holds a
   //    backpointer to a ghost.
-  for (unsigned l = 0; l < digits; ++l) {
+  remove_links(a, trace);
+}
+
+void MaintenanceEngine::notify_leave(TapestryNode& a, TapestryNode& b,
+                                     unsigned level,
+                                     const std::vector<NodeId>& hints,
+                                     Trace* trace, const NodeLockTable* locks,
+                                     const LiveIdIndex* live_ids) {
+  reg_.acct(trace, a, b, 1);  // LEAVINGNETWORK notification with hints
+  const auto before = dir_.snapshot_pointer_hops(b, locks);
+  unlink(b, level, a.id(), locks);
+  for (const NodeId& h : hints)
+    if (!(h == b.id()) && reg_.is_live(h)) link(b, level, reg_.live(h), locks);
+  refill_slot(b, level, a.id().digit(level), trace, locks, live_ids);
+  // Re-route local pointers that used to travel through the leaver —
+  // including those the leaver *rooted*, which now flow onward to their
+  // new surrogate roots.
+  dir_.reroute_changed_pointers(b, before, trace, locks);
+}
+
+void MaintenanceEngine::remove_links(TapestryNode& a, Trace* trace,
+                                     const NodeLockTable* locks) {
+  for (unsigned l = 0; l < params_.id.num_digits; ++l) {
     for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      const auto members = a.table().at(l, j).entries();  // copy
-      for (const auto& e : members) {
-        if (e.id == id) continue;
-        if (TapestryNode* other = reg_.find(e.id); other != nullptr) {
+      std::vector<NodeId> members;
+      {
+        const auto g = maybe_lock(locks, a.id());
+        for (const auto& e : a.table().at(l, j).entries())
+          members.push_back(e.id);
+      }
+      for (const NodeId& m : members) {
+        if (m == a.id()) continue;
+        if (TapestryNode* other = reg_.find(m); other != nullptr)
           reg_.acct(trace, a, *other, 1);
-          other->table().remove_backpointer(l, id);
-        }
-        a.table().remove(l, j, e.id);
+        unlink(a, l, m, locks);
       }
     }
   }

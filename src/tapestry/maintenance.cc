@@ -56,24 +56,41 @@ MaintenanceEngine::MaintenanceEngine(NodeRegistry& registry, Router& router,
 // ---------------------------------------------------------------------
 
 bool MaintenanceEngine::link(TapestryNode& owner, unsigned level,
-                             TapestryNode& nbr) {
+                             TapestryNode& nbr, const NodeLockTable* locks) {
   TAP_ASSERT(!(owner.id() == nbr.id()));
   TAP_ASSERT_MSG(owner.id().matches_prefix(nbr.id(), level),
                  "neighbor does not share the slot's prefix");
   const unsigned digit = nbr.id().digit(level);
-  auto res =
-      owner.table().consider(level, digit, nbr.id(), reg_.dist(owner, nbr));
-  if (res.evicted.has_value()) {
-    if (TapestryNode* ev = reg_.find(*res.evicted); ev != nullptr)
-      ev->table().remove_backpointer(level, owner.id());
+  NeighborSet::ConsiderResult res;
+  {
+    const auto g = maybe_lock(locks, owner.id(), nbr.id());
+    res = owner.table().consider(level, digit, nbr.id(),
+                                 reg_.dist(owner, nbr));
+    if (res.inserted) nbr.table().add_backpointer(level, owner.id());
   }
-  if (res.inserted) nbr.table().add_backpointer(level, owner.id());
+  // The evictee is a third node: never locked while the pair is held.
+  if (res.evicted.has_value())
+    sync_backpointer(owner.id(), *res.evicted, level, locks);
   return res.inserted;
 }
 
+void MaintenanceEngine::sync_backpointer(const NodeId& owner,
+                                         const NodeId& member, unsigned level,
+                                         const NodeLockTable* locks) {
+  TapestryNode* o = reg_.find(owner);
+  TapestryNode* m = reg_.find(member);
+  if (o == nullptr || m == nullptr) return;
+  const auto g = maybe_lock(locks, owner, member);
+  if (o->table().at(level, member.digit(level)).contains(member))
+    m->table().add_backpointer(level, owner);
+  else
+    m->table().remove_backpointer(level, owner);
+}
+
 void MaintenanceEngine::unlink(TapestryNode& owner, unsigned level,
-                               NodeId nbr) {
+                               NodeId nbr, const NodeLockTable* locks) {
   if (nbr == owner.id()) return;  // never drop self-entries
+  const auto g = maybe_lock(locks, owner.id(), nbr);
   if (owner.table().remove(level, nbr.digit(level), nbr)) {
     if (TapestryNode* n = reg_.find(nbr); n != nullptr)
       n->table().remove_backpointer(level, owner.id());
@@ -81,12 +98,13 @@ void MaintenanceEngine::unlink(TapestryNode& owner, unsigned level,
 }
 
 bool MaintenanceEngine::add_to_table_if_closer(TapestryNode& host,
-                                               TapestryNode& cand) {
+                                               TapestryNode& cand,
+                                               const NodeLockTable* locks) {
   if (host.id() == cand.id()) return false;
   const unsigned gcp = host.id().common_prefix_len(cand.id());
   bool any = false;
   for (unsigned l = 0; l <= gcp && l < params_.id.num_digits; ++l)
-    any = link(host, l, cand) || any;
+    any = link(host, l, cand, locks) || any;
   return any;
 }
 
@@ -106,28 +124,39 @@ void MaintenanceEngine::fail(NodeId id) {
 }
 
 void MaintenanceEngine::purge_dead_neighbor(TapestryNode& at, NodeId dead,
-                                            Trace* trace) {
-  const auto before = dir_.snapshot_pointer_hops(at);
+                                            Trace* trace,
+                                            const NodeLockTable* locks,
+                                            const LiveIdIndex* live_ids) {
+  const auto before = dir_.snapshot_pointer_hops(at, locks);
   const unsigned gcp = at.id().common_prefix_len(dead);
   const unsigned digits = params_.id.num_digits;
   for (unsigned l = 0; l <= gcp && l < digits; ++l) {
-    const unsigned digit = dead.digit(l);
-    unlink(at, l, dead);
-    if (at.table().slot_empty(l, digit)) {
-      // A hole appeared; Property 1 obliges us to find a replacement or
-      // establish that none exists (§5.2).
-      if (auto rep = find_replacement(at, l, digit, trace); rep.has_value())
-        link(at, l, reg_.live(*rep));
-    }
+    unlink(at, l, dead, locks);
+    // A hole appeared; Property 1 obliges us to find a replacement or
+    // establish that none exists (§5.2).
+    refill_slot(at, l, dead.digit(l), trace, locks, live_ids);
+    const auto g = maybe_lock(locks, at.id());
     at.table().remove_backpointer(l, dead);
   }
-  dir_.reroute_changed_pointers(at, before, trace);
+  dir_.reroute_changed_pointers(at, before, trace, locks);
 }
 
-std::optional<NodeId> MaintenanceEngine::find_replacement(TapestryNode& at,
-                                                          unsigned level,
-                                                          unsigned digit,
-                                                          Trace* trace) {
+bool MaintenanceEngine::refill_slot(TapestryNode& at, unsigned level,
+                                    unsigned digit, Trace* trace,
+                                    const NodeLockTable* locks,
+                                    const LiveIdIndex* live_ids) {
+  {
+    const auto g = maybe_lock(locks, at.id());
+    if (!at.table().slot_empty(level, digit)) return false;
+  }
+  const auto rep = find_replacement(at, level, digit, trace, locks, live_ids);
+  if (rep.has_value()) link(at, level, reg_.live(*rep), locks);
+  return rep.has_value();
+}
+
+std::optional<NodeId> MaintenanceEngine::find_replacement(
+    TapestryNode& at, unsigned level, unsigned digit, Trace* trace,
+    const NodeLockTable* locks, const LiveIdIndex* live_ids) {
   // Simple local search first: ask the remaining level-`level` contacts
   // (row members and backpointer holders — all of whom share our length-
   // `level` prefix) for their own entry in that slot.
@@ -135,6 +164,9 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(TapestryNode& at,
   double best_dist = 0.0;
   auto offer = [&](const NodeId& cand) {
     if (cand == at.id() || !reg_.is_live(cand)) return;
+    // Mid-wave tables may be racy: filter rather than trust the prefix.
+    if (cand.digit(level) != digit || !at.id().matches_prefix(cand, level))
+      return;
     const double d = reg_.dist(at, reg_.checked(cand));
     if (!best.has_value() || d < best_dist ||
         (d == best_dist && cand < *best)) {
@@ -143,27 +175,52 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(TapestryNode& at,
     }
   };
 
-  std::vector<NodeId> peers = at.table().row_members(level);
-  for (const NodeId& b : at.table().backpointers(level)) peers.push_back(b);
+  std::vector<NodeId> peers;
+  {
+    const auto g = maybe_lock(locks, at.id());
+    peers = at.table().row_members(level);
+    for (const NodeId& b : at.table().backpointers(level)) peers.push_back(b);
+  }
   std::sort(peers.begin(), peers.end());
   peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
   for (const NodeId& peer : peers) {
     if (peer == at.id() || !reg_.is_live(peer)) continue;
     TapestryNode& p = reg_.live(peer);
     reg_.acct(trace, at, p, 2);  // ask for its (level, digit) entries
+    const auto g = maybe_lock(locks, peer);
     for (const auto& e : p.table().at(level, digit).entries()) offer(e.id);
   }
   if (best.has_value()) return best;
 
-  // Fallback: acknowledged multicast over our length-`level` prefix,
-  // collecting any node carrying `digit` at that position.  Expensive but
-  // rare — it only runs when the local search came up empty.
-  router_.multicast(
-      at.id(), at.id(), level,
-      [&](NodeId y) {
-        if (reg_.checked(y).id().digit(level) == digit) offer(y);
-      },
-      trace, {});
+  // Complete fallback, expensive but rare: it only runs when the local
+  // search came up empty.
+  if (live_ids == nullptr) {
+    // Acknowledged multicast over our length-`level` prefix, collecting
+    // any node carrying `digit` at that position.
+    router_.multicast(
+        at.id(), at.id(), level, [&](NodeId y) { offer(y); }, trace, {});
+    return best;
+  }
+  // Inside a wave the multicast (an unguarded recursive walk) is unusable.
+  // Ids sharing our length-`level` prefix with `digit` next occupy one
+  // contiguous value range, so the sorted live-id index enumerates exactly
+  // the candidates the multicast would have visited — and the (distance,
+  // id) minimum is the same winner regardless of enumeration order.
+  const unsigned shift =
+      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
+  const std::uint64_t lo =
+      ((at.id().prefix_value(level) << params_.id.digit_bits) | digit)
+      << shift;
+  const std::uint64_t span = std::uint64_t{1} << shift;
+  for (auto it = std::lower_bound(live_ids->begin(), live_ids->end(), lo);
+       it != live_ids->end() && *it - lo < span; ++it) {
+    const NodeId cand(params_.id, *it);
+    if (cand == at.id()) continue;
+    if (TapestryNode* c = reg_.find(cand); c != nullptr && c->alive) {
+      reg_.acct(trace, at, *c, 1);  // the multicast-equivalent probe
+      offer(cand);
+    }
+  }
   return best;
 }
 

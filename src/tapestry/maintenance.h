@@ -6,6 +6,13 @@
 // coherence primitives (link / unlink / ADDTOTABLEIFCLOSER) every mutation
 // funnels through so forward links and backpointers stay mirrored.
 //
+// Each per-node membership step exists once, here, and every driver calls
+// it: the serial paths without a lock table, the thread-parallel drivers
+// (threaded_join.h, threaded_repair.h) with the registry's NodeLockTable.
+// Given `locks`, a step takes the stripe of every node whose table it
+// touches (node_locks.h) and re-syncs third-party eviction effects after
+// the stripes drop; without, it runs single-threaded as it always did.
+//
 // The engine implements the Router's RepairHandler interface: when a
 // routing walk discovers a corpse, the purge (secondary promotion, slot
 // replacement hunt, pointer re-route) happens here.  Pointer re-routing is
@@ -29,6 +36,35 @@ struct JoinRequest {
   std::optional<NodeId> id{};       ///< default: fresh random id
   std::optional<NodeId> gateway{};  ///< default: uniformly random live node
 };
+
+/// A threaded repair wave's sorted live-id index (threaded_repair.h).
+using LiveIdIndex = std::vector<std::uint64_t>;
+
+/// A §4.4 watch list (Figure 11, Lemma 6): one bitmask per level, bit j set
+/// while slot (level, j) is still unknown to the inserting node
+/// (single-word rows: the join drivers check radix <= 64).
+using WatchList = std::vector<std::uint64_t>;
+
+/// One forwarding target of the §4.4 acknowledged multicast.
+struct MulticastChild {
+  NodeId id{};
+  unsigned prefix_len = 0;
+};
+
+/// The §4.4 forwarding-target rule, shared by the event coordinator and
+/// the threaded driver so the two execute the SAME protocol: walking
+/// `at`'s prefix chain from `prefix_len`, per slot one unpinned member
+/// plus all pinned members (Lemma 4), stopping at the first row where
+/// `at` is alone; plus the members already filling the session's
+/// (alpha, hole_digit) slot so conflicting same-hole inserters learn of
+/// each other (MULTICASTTOFILLEDHOLE, Lemma 5).  Pure function of the
+/// node's table and the session constants; the caller provides whatever
+/// synchronisation the read needs (the threaded driver holds `at`'s
+/// stripe, the coordinator is single-threaded).
+[[nodiscard]] std::vector<MulticastChild> multicast_children(
+    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
+    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
+    const std::unordered_set<std::uint64_t>& processed);
 
 /// The §3 k-list trim, shared by the serial join (join.cc) and the
 /// threaded driver (threaded_join.cc) so both run the SAME rule: dedupe,
@@ -116,23 +152,61 @@ class MaintenanceEngine final : public RepairHandler {
     return heartbeat_event_.has_value();
   }
 
-  // --- failure repair (§5.2) ---
+  // --- per-node repair steps (§5.1, §5.2) ---
+  // `locks` and `live_ids` come together from a threaded repair wave:
+  // then the replacement search falls back to the live-id index instead
+  // of the acknowledged multicast (find_replacement).
+  /// The lazy-repair purge the Router calls on meeting a corpse.
   void purge_dead_neighbor(TapestryNode& at, NodeId dead,
-                           Trace* trace) override;
-  std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
-                                         unsigned digit, Trace* trace);
+                           Trace* trace) override {
+    purge_dead_neighbor(at, dead, trace, nullptr, nullptr);
+  }
+  /// §5.2 purge of `dead` from `at`: unlink at every shared level, refill
+  /// emptied slots, drop its backpointers, re-route changed pointers.
+  void purge_dead_neighbor(TapestryNode& at, NodeId dead, Trace* trace,
+                           const NodeLockTable* locks,
+                           const LiveIdIndex* live_ids);
+  /// The (distance, id)-closest live node for `at`'s slot (level, digit):
+  /// the level-`level` contacts' own entries first, then the complete
+  /// fallback — the live-id prefix probe inside a wave, else the
+  /// acknowledged multicast.
+  std::optional<NodeId> find_replacement(
+      TapestryNode& at, unsigned level, unsigned digit, Trace* trace,
+      const NodeLockTable* locks = nullptr,
+      const LiveIdIndex* live_ids = nullptr);
+  /// Links find_replacement's pick into `at`'s slot (level, digit) if that
+  /// slot is empty; true when a replacement was found.
+  bool refill_slot(TapestryNode& at, unsigned level, unsigned digit,
+                   Trace* trace, const NodeLockTable* locks = nullptr,
+                   const LiveIdIndex* live_ids = nullptr);
+  /// LEAVINGNETWORK (§5.1) at one backpointer holder `b` of the leaver
+  /// `a`: drop `a` from b's level-`level` slot, adopt the live `hints`,
+  /// refill the slot if it emptied, re-route pointers whose paths changed.
+  void notify_leave(TapestryNode& a, TapestryNode& b, unsigned level,
+                    const std::vector<NodeId>& hints, Trace* trace,
+                    const NodeLockTable* locks = nullptr,
+                    const LiveIdIndex* live_ids = nullptr);
+  /// REMOVELINK (§5.1): retracts every forward link of the leaver `a`,
+  /// one message to each member.
+  void remove_links(TapestryNode& a, Trace* trace,
+                    const NodeLockTable* locks = nullptr);
 
   // --- table-link coherence ---
   /// owner.table slot (level, nbr.digit(level)) considers nbr; keeps
   /// backpointers coherent on insert and evict.  Returns true if inserted.
-  bool link(TapestryNode& owner, unsigned level, TapestryNode& nbr);
+  /// With `locks` the pair mutation runs under both stripes and the
+  /// evictee's backpointer is re-synced after they drop.
+  bool link(TapestryNode& owner, unsigned level, TapestryNode& nbr,
+            const NodeLockTable* locks = nullptr);
   /// Removes nbr from owner's slot at `level` (if present).  NodeId is
   /// taken by value: callers often pass ids that live inside the very
   /// containers these routines mutate.
-  void unlink(TapestryNode& owner, unsigned level, NodeId nbr);
+  void unlink(TapestryNode& owner, unsigned level, NodeId nbr,
+              const NodeLockTable* locks = nullptr);
   /// Offers `cand` to every slot of `host` it qualifies for (all levels
   /// l <= common prefix).  The paper's ADDTOTABLEIFCLOSER.
-  bool add_to_table_if_closer(TapestryNode& host, TapestryNode& cand);
+  bool add_to_table_if_closer(TapestryNode& host, TapestryNode& cand,
+                              const NodeLockTable* locks = nullptr);
 
   // --- continual optimization (§6.4) ---
   /// Moves a node to a new underlay location (network drift model).
@@ -155,22 +229,44 @@ class MaintenanceEngine final : public RepairHandler {
   /// scheduling cannot leak into the outcome.
   void rebuild_static_tables(std::size_t workers = 1);
 
-  // --- join internals (§3-§4), shared with ParallelJoinCoordinator ---
+  // --- join steps (§3-§4), shared with the §4.4 join drivers ---
+  /// GETPRELIMNEIGHBORTABLE: one bulk RPC for the surrogate's rows
+  /// 0..max_level, linked into nn's table.
   void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
-                              unsigned max_level, Trace* trace);
+                              unsigned max_level, Trace* trace,
+                              const NodeLockTable* locks = nullptr);
   void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace);
   void acquire_neighbor_table(TapestryNode& nn, unsigned max_level,
                               std::vector<NodeId> initial_list, Trace* trace);
+  /// Links every live member of `list` into nn's row `level`.
+  void build_row_from_list(TapestryNode& nn, const std::vector<NodeId>& list,
+                           unsigned level,
+                           const NodeLockTable* locks = nullptr);
+  /// The initial watch list: the complement of nn's row occupancy.
+  [[nodiscard]] WatchList watch_list(
+      const TapestryNode& nn, const NodeLockTable* locks = nullptr) const;
+  /// Watch-list service (Figure 11 line 1, Lemma 6): every watched slot
+  /// `at` can fill is reported to nn (one message each), linked, and
+  /// cleared from `watch`.
+  void serve_watch_list(TapestryNode& at, TapestryNode& nn, WatchList& watch,
+                        Trace& trace, const NodeLockTable* locks = nullptr);
+  /// Pins nn into `at`'s (alpha, hole_digit) slot (§4.4, Lemma 4).
+  void pin(TapestryNode& at, TapestryNode& nn, unsigned alpha,
+           unsigned hole_digit, const NodeLockTable* locks = nullptr);
+  /// Releases that pin once `at`'s subtree acknowledged; members the slot
+  /// then evicts lose their backpointer to `at`.
+  void unpin(TapestryNode& at, const NodeId& nn, unsigned alpha,
+             unsigned hole_digit, const NodeLockTable* locks = nullptr);
 
  private:
   std::vector<NodeId> get_next_list(
       TapestryNode& nn, const std::vector<NodeId>& list, unsigned level,
       std::unordered_set<std::uint64_t>& contacted, Trace* trace);
-  void build_row_from_list(TapestryNode& nn, const std::vector<NodeId>& list,
-                           unsigned level);
-  [[nodiscard]] std::vector<NodeId> trim_closest(const TapestryNode& nn,
-                                                 std::vector<NodeId> list,
-                                                 std::size_t k) const;
+  /// Sets member's level-`level` backpointer to owner's *current* slot
+  /// membership — the evictee fix-up, which under `locks` runs after the
+  /// pair's stripes drop (the last validation writes the truth).
+  void sync_backpointer(const NodeId& owner, const NodeId& member,
+                        unsigned level, const NodeLockTable* locks);
 
   void schedule_heartbeat_tick(double every, Trace* trace);
 

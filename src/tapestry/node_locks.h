@@ -19,12 +19,13 @@
 // shares — and collapses to a single lock when both ids hash to the same
 // stripe.  Operations that would touch a third node (eviction side
 // effects) drop their locks first and then re-synchronise the affected
-// pair; see striped::sync_backpointer (striped_links.h), the one copy of
-// these rules every threaded driver delegates to.
+// pair; see MaintenanceEngine::link (maintenance.cc), the one copy of
+// these rules every driver runs, serial callers without a lock table.
 #pragma once
 
 #include <array>
 #include <mutex>
+#include <optional>
 
 #include "src/common/rng.h"
 #include "src/sim/metrics.h"
@@ -84,5 +85,18 @@ class NodeLockTable {
  private:
   mutable std::array<std::mutex, kStripeCount> mu_;
 };
+
+/// The Guard over `a` (and `b`) when `locks` is given — a step running
+/// inside a thread-parallel wave — and no lock for serial callers.
+[[nodiscard]] inline std::optional<NodeLockTable::Guard> maybe_lock(
+    const NodeLockTable* locks, const NodeId& a) {
+  if (locks == nullptr) return std::nullopt;
+  return std::optional<NodeLockTable::Guard>(std::in_place, *locks, a);
+}
+[[nodiscard]] inline std::optional<NodeLockTable::Guard> maybe_lock(
+    const NodeLockTable* locks, const NodeId& a, const NodeId& b) {
+  if (locks == nullptr) return std::nullopt;
+  return std::optional<NodeLockTable::Guard>(std::in_place, *locks, a, b);
+}
 
 }  // namespace tap

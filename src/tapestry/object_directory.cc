@@ -1008,8 +1008,7 @@ ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at,
   const auto records = at.store().snapshot();
   std::vector<PendingReroute> out;
   out.reserve(records.size());
-  std::optional<NodeLockTable::Guard> g;
-  if (locks != nullptr) g.emplace(*locks, at.id());
+  const auto g = maybe_lock(locks, at.id());
   for (const auto& [guid, rec] : records)
     out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
   return out;
@@ -1024,8 +1023,7 @@ void ObjectDirectory::reroute_changed_pointers(
     if (!current.has_value()) continue;
     std::optional<NodeId> now_hop;
     {
-      std::optional<NodeLockTable::Guard> g;
-      if (locks != nullptr) g.emplace(*locks, at.id());
+      const auto g = maybe_lock(locks, at.id());
       now_hop = pointer_next_hop(at, p.guid, *current);
     }
     if (now_hop == p.next_hop) continue;

@@ -4,57 +4,6 @@
 
 namespace tap {
 
-std::vector<MulticastChild> multicast_children(
-    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
-    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
-    const std::unordered_set<std::uint64_t>& processed) {
-  const NodeId at_id = at.id();
-  const unsigned digits = reg.params().id.num_digits;
-  const unsigned radix = reg.params().id.radix();
-  std::vector<MulticastChild> children;
-
-  // Walk our own prefix chain, collecting forwarding targets row by row;
-  // self-messages are free and immediate, so the levels where we are the
-  // chosen recipient collapse into the caller's single visit.  Per slot
-  // the recipients are one unpinned member plus ALL pinned members
-  // (Lemma 4); the inserter itself is never forwarded to.
-  for (unsigned l = prefix_len; l < digits; ++l) {
-    bool row_has_other = false;
-    for (unsigned j = 0; j < radix; ++j) {
-      bool unpinned_taken = false;
-      for (const auto& e : at.table().at(l, j).entries()) {
-        if (e.id == nn) continue;
-        if (e.id == at_id) {
-          unpinned_taken = true;  // the self-message collapses into here
-          continue;
-        }
-        const TapestryNode* m = reg.find(e.id);
-        if (m == nullptr || !m->alive) continue;
-        row_has_other = true;
-        if (e.pinned) {
-          children.push_back({e.id, l + 1});
-        } else if (!unpinned_taken) {
-          unpinned_taken = true;
-          children.push_back({e.id, l + 1});
-        }
-      }
-    }
-    if (!row_has_other) break;  // alone from this level on: we are a leaf
-  }
-
-  // MULTICASTTOFILLEDHOLE (Figure 11 line 9): if the hole this session
-  // fills is already occupied by someone else, forward to them too so
-  // conflicting inserters learn of each other (Lemma 5).
-  for (const auto& e : at.table().at(alpha, hole_digit).entries()) {
-    if (e.id == nn || e.id == at_id) continue;
-    if (processed.count(e.id.value()) != 0) continue;
-    const TapestryNode* m = reg.find(e.id);
-    if (m == nullptr || !m->alive) continue;
-    children.push_back({e.id, alpha + 1});
-  }
-  return children;
-}
-
 ParallelJoinCoordinator::ParallelJoinCoordinator(Network& net, double jitter)
     : net_(net), jitter_(jitter) {
   TAP_CHECK(jitter >= 0.0, "jitter must be non-negative");
@@ -133,16 +82,10 @@ void ParallelJoinCoordinator::start_join(std::size_t index,
   // 2. Preliminary table copy from the surrogate.
   net_.maintenance().copy_preliminary_table(nn, surrogate, alpha, &s.trace);
 
-  // 3. Watch list: every slot the new node still knows no one for — the
-  //    complement of its table's row occupancy masks.
-  const unsigned radix = net_.params().id.radix();
-  TAP_CHECK(radix <= 64, "parallel join watch lists require radix <= 64");
-  const std::uint64_t full_row =
-      radix == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << radix) - 1;
-  WatchList watch;
-  watch.missing.assign(net_.params().id.num_digits, 0);
-  for (unsigned l = 0; l < net_.params().id.num_digits; ++l)
-    watch.missing[l] = ~nn.table().row_mask64(l) & full_row;
+  // 3. Watch list: every slot the new node still knows no one for.
+  TAP_CHECK(net_.params().id.radix() <= 64,
+            "parallel join watch lists require radix <= 64");
+  WatchList watch = net_.maintenance().watch_list(nn);
 
   // 4. Launch the acknowledged multicast at the surrogate.
   deliver_multicast(index, sur, std::nullopt, alpha, std::move(watch));
@@ -163,33 +106,6 @@ void ParallelJoinCoordinator::deliver_multicast(std::size_t session_idx,
         handle_multicast(session_idx, to, parent, prefix_len,
                          std::move(watch));
       });
-}
-
-void ParallelJoinCoordinator::check_watch_list(std::size_t session_idx,
-                                               TapestryNode& at,
-                                               WatchList& watch) {
-  Session& s = sessions_[session_idx];
-  TapestryNode& nn = net_.registry().live(s.nn);
-  const unsigned gcp = at.id().common_prefix_len(nn.id());
-  for (unsigned l = 0; l < watch.missing.size() && l <= gcp; ++l) {
-    if (watch.missing[l] == 0) continue;
-    for (unsigned j = 0; j < net_.params().id.radix(); ++j) {
-      if ((watch.missing[l] & (std::uint64_t{1} << j)) == 0) continue;
-      // Can this node fill slot (l, j) of the inserter?  Its own (l, j)
-      // entries share prefix nn[0..l)·j because l <= gcp.
-      for (const auto& e : at.table().at(l, j).entries()) {
-        if (e.id == nn.id()) continue;
-        TapestryNode* filler = net_.registry().find(e.id);
-        if (filler == nullptr || !filler->alive) continue;
-        // Report the filler to the inserting node (one message) and mark
-        // the watch slot found before forwarding onward.
-        s.trace.hop(net_.distance(at.id(), nn.id()));
-        net_.maintenance().link(nn, l, *filler);
-        watch.missing[l] &= ~(std::uint64_t{1} << j);
-        break;
-      }
-    }
-  }
 }
 
 void ParallelJoinCoordinator::handle_multicast(std::size_t session_idx,
@@ -213,23 +129,20 @@ void ParallelJoinCoordinator::handle_multicast(std::size_t session_idx,
   // Watch list service (Figure 11 line 1).  Fillers reported to the
   // inserter change its table, so its pointer paths are re-checked.
   const auto nn_before = net_.directory().snapshot_pointer_hops(nn);
-  check_watch_list(session_idx, at, watch);
+  net_.maintenance().serve_watch_list(at, nn, watch, s.trace);
   net_.directory().reroute_changed_pointers(nn, nn_before, &s.trace);
 
   // Pin the inserting node into the slot it fills (§4.4) and adopt it
   // wherever it improves this node's table; both change this node's
   // forward routes, so pointer paths are snapshotted around the pair.
   const auto at_before = net_.directory().snapshot_pointer_hops(at);
-  if (s.pinned_at.insert(at_id.value()).second) {
-    at.table().pin(s.alpha, s.hole_digit, nn.id(),
-                   net_.distance(at_id, nn.id()));
-    nn.table().add_backpointer(s.alpha, at_id);
-  }
+  if (s.pinned_at.insert(at_id.value()).second)
+    net_.maintenance().pin(at, nn, s.alpha, s.hole_digit);
   net_.maintenance().add_to_table_if_closer(at, nn);
   net_.directory().reroute_changed_pointers(at, at_before, &s.trace);
 
   // Forwarding targets: the Lemma 4/5 rule shared with the threaded
-  // driver (multicast_children above).
+  // driver (multicast_children, join.cc).
   const std::vector<MulticastChild> children =
       multicast_children(net_.registry(), at, s.nn, prefix_len, s.alpha,
                          s.hole_digit, s.processed);
@@ -281,11 +194,7 @@ void ParallelJoinCoordinator::release_pin(std::size_t session_idx,
                                           const NodeId& at) {
   Session& s = sessions_[session_idx];
   if (s.pinned_at.erase(at.value()) == 0) return;
-  std::vector<NodeId> evicted;
-  net_.node(at).table().unpin(s.alpha, s.hole_digit, s.nn, evicted);
-  for (const NodeId& ev : evicted)
-    if (TapestryNode* n = net_.registry().find(ev); n != nullptr)
-      n->table().remove_backpointer(s.alpha, at);
+  net_.maintenance().unpin(net_.node(at), s.nn, s.alpha, s.hole_digit);
 }
 
 void ParallelJoinCoordinator::finish_multicast(std::size_t session_idx) {

@@ -24,7 +24,9 @@
 // Message interleaving is genuine: every forward, report, and ack is an
 // EventQueue event whose delivery time is the metric distance (plus
 // optional jitter), so two insertions racing for the same hole exercise
-// the same orderings a real network would.
+// the same orderings a real network would.  The per-node steps themselves
+// (forwarding rule, watch-list service, pin and release) are the
+// MaintenanceEngine's, shared with the threaded driver (threaded_join.h).
 #pragma once
 
 #include <cstdint>
@@ -36,27 +38,6 @@
 #include "src/tapestry/network.h"
 
 namespace tap {
-
-/// One forwarding target of the §4.4 acknowledged multicast.
-struct MulticastChild {
-  NodeId id{};
-  unsigned prefix_len = 0;
-};
-
-/// The §4.4 forwarding-target rule, shared by the event coordinator and
-/// the threaded driver so the two execute the SAME protocol: walking
-/// `at`'s prefix chain from `prefix_len`, per slot one unpinned member
-/// plus all pinned members (Lemma 4), stopping at the first row where
-/// `at` is alone; plus the members already filling the session's
-/// (alpha, hole_digit) slot so conflicting same-hole inserters learn of
-/// each other (MULTICASTTOFILLEDHOLE, Lemma 5).  Pure function of the
-/// node's table and the session constants; the caller provides whatever
-/// synchronisation the read needs (the threaded driver holds `at`'s
-/// stripe, the coordinator is single-threaded).
-[[nodiscard]] std::vector<MulticastChild> multicast_children(
-    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
-    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
-    const std::unordered_set<std::uint64_t>& processed);
 
 class ParallelJoinCoordinator {
  public:
@@ -86,14 +67,6 @@ class ParallelJoinCoordinator {
   std::vector<Outcome> run(const std::vector<Request>& requests);
 
  private:
-  struct WatchList {
-    // One bitmask per level: bit j set => slot (level, j) still unknown to
-    // the inserting node.  Initialised as the complement of the new node's
-    // routing-table occupancy masks (single-word rows; the coordinator
-    // checks radix <= 64, which covers every digit_bits <= 6 IdSpec).
-    std::vector<std::uint64_t> missing;
-  };
-
   struct Session {
     std::size_t index = 0;  ///< position in the request/outcome vectors
     NodeId nn{};
@@ -125,16 +98,13 @@ class ParallelJoinCoordinator {
   void handle_ack(std::size_t session_idx, NodeId at);
   void release_pin(std::size_t session_idx, const NodeId& at);
   void finish_multicast(std::size_t session_idx);
-  void check_watch_list(std::size_t session_idx, TapestryNode& at,
-                        WatchList& watch);
   double delay(const NodeId& a, const NodeId& b);
 
   Network& net_;
   double jitter_;
   std::vector<Session> sessions_;
   std::vector<Outcome> outcomes_;
-  // Keyed by (session << 32) ^ node-hash? Simpler: per session, map node
-  // value -> PendingAcks.
+  // Per session: node value -> PendingAcks.
   std::vector<std::unordered_map<std::uint64_t, PendingAcks>> pending_;
 };
 

@@ -317,8 +317,7 @@ RouteResult Router::walk_to_root_peek(NodeId from, const Id& target,
                                       const NodeLockTable* locks) const {
   const TapestryNode* cur = &reg_.checked(from);
   {
-    std::optional<NodeLockTable::Guard> g;
-    if (locks != nullptr) g.emplace(*locks, from);
+    const auto g = maybe_lock(locks, from);
     TAP_CHECK(cur->alive, "route_to_root_peek: start node must be alive");
   }
   RouteResult res;
@@ -328,8 +327,7 @@ RouteResult Router::walk_to_root_peek(NodeId from, const Id& target,
     // One stripe per routing decision in guarded mode: the step reads only
     // the current node's table (member liveness probes go through the
     // lock-free registry index).
-    std::optional<NodeLockTable::Guard> g;
-    if (locks != nullptr) g.emplace(*locks, cur->id());
+    auto g = maybe_lock(locks, cur->id());
     const auto next = route_step_peek(cur->id(), target, state);
     g.reset();
     if (!next.has_value()) {

@@ -1,21 +1,21 @@
 // Thread-parallel §4.4 insertion (see threaded_join.h for the model and
-// the locking discipline).  The protocol steps mirror join.cc /
-// parallel_join.cc; what differs is only *where* synchronisation comes
-// from: per-node stripe locks instead of a single thread of control.
+// the locking discipline).  The per-node protocol steps are the
+// MaintenanceEngine's (join.cc), called with the lock table; this file
+// holds the orchestration: per-session state, the depth-first multicast
+// walk and the neighbor-table descent.
 #include "src/tapestry/threaded_join.h"
 
 #include <algorithm>
 
 #include "src/sim/thread_pool.h"
-#include "src/tapestry/parallel_join.h"
-#include "src/tapestry/striped_links.h"
 
 namespace tap {
 
-ThreadedJoinDriver::ThreadedJoinDriver(NodeRegistry& registry, Router& router,
+ThreadedJoinDriver::ThreadedJoinDriver(MaintenanceEngine& engine,
+                                       NodeRegistry& registry, Router& router,
                                        const TapestryParams& params, Rng& rng)
-    : reg_(registry), router_(router), params_(params), rng_(rng),
-      locks_(registry.node_locks()) {}
+    : eng_(engine), reg_(registry), router_(router), params_(params),
+      rng_(rng), locks_(registry.node_locks()) {}
 
 std::vector<ThreadedJoinDriver::Outcome> ThreadedJoinDriver::run(
     const std::vector<JoinRequest>& requests, std::size_t workers) {
@@ -101,20 +101,10 @@ void ThreadedJoinDriver::do_join(std::size_t index) {
   outcomes_[index].alpha = alpha;
 
   // 3. GETPRELIMNEIGHBORTABLE: one bulk RPC for the surrogate's table.
-  copy_preliminary(s, nn, surrogate, alpha);
+  eng_.copy_preliminary_table(nn, surrogate, alpha, &s.trace, &locks_);
 
-  // 4. Watch list: every slot the new node still knows no one for — the
-  //    complement of its table's row occupancy masks.
-  const unsigned radix = params_.id.radix();
-  const std::uint64_t full_row =
-      radix == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << radix) - 1;
-  WatchList watch;
-  watch.missing.assign(params_.id.num_digits, 0);
-  {
-    NodeLockTable::Guard g(locks_, s.nn);
-    for (unsigned l = 0; l < params_.id.num_digits; ++l)
-      watch.missing[l] = ~nn.table().row_mask64(l) & full_row;
-  }
+  // 4. Watch list: every slot the new node still knows no one for.
+  WatchList watch = eng_.watch_list(nn, &locks_);
 
   // 5. Acknowledged multicast (Figure 11) as a synchronous depth-first
   //    walk: the recursion returning from a subtree IS that subtree's
@@ -142,84 +132,8 @@ void ThreadedJoinDriver::do_join(std::size_t index) {
 }
 
 // ---------------------------------------------------------------------
-// Locked table-link coherence: thin delegations to the shared striped
-// primitives (striped_links.h) so joins and repairs run one copy of the
-// lock discipline.
+// The acknowledged multicast as a depth-first walk
 // ---------------------------------------------------------------------
-
-bool ThreadedJoinDriver::link(TapestryNode& owner, unsigned level,
-                              TapestryNode& nbr) {
-  return striped::link(reg_, locks_, owner, level, nbr);
-}
-
-void ThreadedJoinDriver::sync_backpointer(const NodeId& owner,
-                                          const NodeId& member,
-                                          unsigned level) {
-  striped::sync_backpointer(reg_, locks_, owner, member, level);
-}
-
-bool ThreadedJoinDriver::add_to_table_if_closer(TapestryNode& host,
-                                                TapestryNode& cand) {
-  return striped::add_to_table_if_closer(reg_, locks_, host, cand,
-                                         params_.id.num_digits);
-}
-
-// ---------------------------------------------------------------------
-// Protocol steps
-// ---------------------------------------------------------------------
-
-void ThreadedJoinDriver::copy_preliminary(Session& s, TapestryNode& nn,
-                                          TapestryNode& surrogate,
-                                          unsigned max_level) {
-  reg_.acct(&s.trace, nn, surrogate, 2);  // request + bulk reply
-  // Snapshot the surrogate's rows 0..max_level under its stripe (the bulk
-  // RPC reply), then link the candidates into our table pair by pair.
-  std::vector<std::pair<unsigned, NodeId>> cands;
-  {
-    NodeLockTable::Guard g(locks_, surrogate.id());
-    const unsigned digits = params_.id.num_digits;
-    for (unsigned l = 0; l <= max_level && l < digits; ++l)
-      for (unsigned j = 0; j < params_.id.radix(); ++j)
-        for (const auto& e : surrogate.table().at(l, j).entries())
-          if (!(e.id == nn.id())) cands.emplace_back(l, e.id);
-  }
-  for (const auto& [l, id] : cands)
-    if (TapestryNode* cand = reg_.find(id); cand != nullptr && cand->alive)
-      link(nn, l, *cand);
-  add_to_table_if_closer(nn, surrogate);
-}
-
-void ThreadedJoinDriver::check_watch_list(Session& s, TapestryNode& at,
-                                          WatchList& watch) {
-  TapestryNode& nn = reg_.checked(s.nn);
-  const unsigned gcp = at.id().common_prefix_len(nn.id());
-  // Find fillers under this node's stripe, then report them to the
-  // inserting node (one message each) outside it.
-  std::vector<std::pair<unsigned, NodeId>> fillers;
-  {
-    NodeLockTable::Guard g(locks_, at.id());
-    for (unsigned l = 0; l < watch.missing.size() && l <= gcp; ++l) {
-      if (watch.missing[l] == 0) continue;
-      for (unsigned j = 0; j < params_.id.radix(); ++j) {
-        if ((watch.missing[l] & (std::uint64_t{1} << j)) == 0) continue;
-        for (const auto& e : at.table().at(l, j).entries()) {
-          if (e.id == nn.id()) continue;
-          const TapestryNode* filler = reg_.find(e.id);
-          if (filler == nullptr || !filler->alive) continue;
-          fillers.emplace_back(l, e.id);
-          watch.missing[l] &= ~(std::uint64_t{1} << j);
-          break;
-        }
-      }
-    }
-  }
-  for (const auto& [l, id] : fillers) {
-    s.trace.hop(reg_.distance(at.id(), nn.id()));  // the report message
-    if (TapestryNode* filler = reg_.find(id); filler != nullptr &&
-                                              filler->alive)
-      link(nn, l, *filler);
-  }
-}
 
 void ThreadedJoinDriver::multicast_visit(Session& s, NodeId at_id,
                                          unsigned prefix_len,
@@ -232,20 +146,17 @@ void ThreadedJoinDriver::multicast_visit(Session& s, NodeId at_id,
   TapestryNode& nn = reg_.checked(s.nn);
 
   // Watch-list service (Figure 11 line 1, Lemma 6).
-  check_watch_list(s, at, watch);
+  eng_.serve_watch_list(at, nn, watch, s.trace, &locks_);
 
   // Pin the inserting node into the slot it fills (§4.4, Lemma 4)...
-  if (s.pinned_at.insert(at_id.value()).second) {
-    NodeLockTable::Guard g(locks_, at_id, s.nn);
-    at.table().pin(s.alpha, s.hole_digit, s.nn, reg_.dist(at, nn));
-    nn.table().add_backpointer(s.alpha, at_id);
-  }
+  if (s.pinned_at.insert(at_id.value()).second)
+    eng_.pin(at, nn, s.alpha, s.hole_digit, &locks_);
   // ...and adopt it wherever it improves this node's table (Theorem 4).
-  add_to_table_if_closer(at, nn);
+  eng_.add_to_table_if_closer(at, nn, &locks_);
 
   // Forwarding targets: the Lemma 4/5 rule shared with the event
-  // coordinator (multicast_children in parallel_join.cc), computed from
-  // this node's table under its stripe.
+  // coordinator (multicast_children, join.cc), computed from this node's
+  // table under its stripe.
   std::vector<MulticastChild> children;
   {
     NodeLockTable::Guard g(locks_, at_id);
@@ -268,30 +179,12 @@ void ThreadedJoinDriver::multicast_visit(Session& s, NodeId at_id,
 
 void ThreadedJoinDriver::release_pin(Session& s, const NodeId& at_id) {
   if (s.pinned_at.erase(at_id.value()) == 0) return;
-  std::vector<NodeId> evicted;
-  {
-    NodeLockTable::Guard g(locks_, at_id);
-    reg_.checked(at_id).table().unpin(s.alpha, s.hole_digit, s.nn, evicted);
-  }
-  for (const NodeId& ev : evicted) sync_backpointer(at_id, ev, s.alpha);
+  eng_.unpin(reg_.checked(at_id), s.nn, s.alpha, s.hole_digit, &locks_);
 }
 
 // ---------------------------------------------------------------------
 // Nearest-neighbor table construction (§3) under the stripe discipline
 // ---------------------------------------------------------------------
-
-void ThreadedJoinDriver::build_row_from_list(TapestryNode& nn,
-                                             const std::vector<NodeId>& list,
-                                             unsigned level) {
-  for (const NodeId& x : list) {
-    if (x == nn.id()) continue;
-    TapestryNode* cand = reg_.find(x);
-    if (cand == nullptr || !cand->alive) continue;
-    TAP_ASSERT_MSG(nn.id().common_prefix_len(x) >= level,
-                   "candidate does not share the row prefix");
-    link(nn, level, *cand);
-  }
-}
 
 std::vector<NodeId> ThreadedJoinDriver::get_next_list(
     Session& s, TapestryNode& nn, const std::vector<NodeId>& list,
@@ -328,7 +221,7 @@ std::vector<NodeId> ThreadedJoinDriver::get_next_list(
       TapestryNode* cand = reg_.find(x);
       if (cand == nullptr || !cand->alive) continue;
       reg_.acct(&s.trace, nn, *cand, 2);  // distance probe round trip
-      add_to_table_if_closer(*cand, nn);
+      eng_.add_to_table_if_closer(*cand, nn, &locks_);
     }
   }
   return candidates;
@@ -341,12 +234,13 @@ void ThreadedJoinDriver::acquire_neighbor_table(
   std::unordered_set<std::uint64_t> met;
   for (const NodeId& x : initial_list) met.insert(x.value());
 
-  build_row_from_list(nn, initial_list, max_level);
-  std::vector<NodeId> list = trim_closest_candidates(reg_, nn, std::move(initial_list), k);
+  eng_.build_row_from_list(nn, initial_list, max_level, &locks_);
+  std::vector<NodeId> list =
+      trim_closest_candidates(reg_, nn, std::move(initial_list), k);
 
   for (unsigned level = max_level; level-- > 0;) {
     std::vector<NodeId> candidates = get_next_list(s, nn, list, level, met);
-    build_row_from_list(nn, candidates, level);
+    eng_.build_row_from_list(nn, candidates, level, &locks_);
     list = trim_closest_candidates(reg_, nn, std::move(candidates), k);
   }
 }
@@ -357,7 +251,7 @@ void ThreadedJoinDriver::acquire_neighbor_table(
 
 std::vector<NodeId> MaintenanceEngine::join_bulk(
     const std::vector<JoinRequest>& requests, std::size_t workers) {
-  ThreadedJoinDriver driver(reg_, router_, params_, rng_);
+  ThreadedJoinDriver driver(*this, reg_, router_, params_, rng_);
   const auto outcomes = driver.run(requests, workers);
   std::vector<NodeId> ids;
   ids.reserve(outcomes.size());

@@ -13,15 +13,19 @@
 // watch-list reports from concurrent joins genuinely contend on the same
 // RoutingTable mutation wrappers.
 //
+// The per-node steps — table links, the preliminary table copy, row
+// building, watch-list service, pin and pin release — are the
+// MaintenanceEngine's own (join.cc), called with the registry's lock
+// table; this driver adds only the orchestration.
+//
 // Locking discipline (see node_locks.h): every access to a node's routing
 // table or insertion flags takes that node's stripe; mutations that mirror
 // into a second node's backpointers take both stripes in address order; a
 // thread never holds more than one Guard, so the scheme is deadlock-free
 // by construction.  Eviction side effects on third nodes are re-validated
-// against the owner's current table after the locks drop
-// (sync_backpointer) — the temporally last validation for a (owner,
-// member, level) triple writes the truth, so forward links and
-// backpointers mirror exactly at quiescence.
+// against the owner's current table after the locks drop — the temporally
+// last validation for a (owner, member, level) triple writes the truth, so
+// forward links and backpointers mirror exactly at quiescence.
 //
 // Determinism contract: node ids and gateways are drawn serially before
 // any thread starts, so same seed + any worker count produces the same
@@ -58,8 +62,8 @@ class ThreadedJoinDriver {
     std::size_t messages = 0;  ///< total messages attributed to this join
   };
 
-  ThreadedJoinDriver(NodeRegistry& registry, Router& router,
-                     const TapestryParams& params, Rng& rng);
+  ThreadedJoinDriver(MaintenanceEngine& engine, NodeRegistry& registry,
+                     Router& router, const TapestryParams& params, Rng& rng);
 
   /// Runs every requested insertion to completion across `workers` real
   /// threads (0 = hardware concurrency) and returns per-join outcomes in
@@ -70,12 +74,6 @@ class ThreadedJoinDriver {
                            std::size_t workers = 0);
 
  private:
-  struct WatchList {
-    // One bitmask per level: bit j set => slot (level, j) still unknown to
-    // the inserting node (single-word rows; radix <= 64 checked at run()).
-    std::vector<std::uint64_t> missing;
-  };
-
   struct Session {
     NodeId nn{};
     NodeId gateway{};
@@ -91,16 +89,9 @@ class ThreadedJoinDriver {
   };
 
   void do_join(std::size_t index);
-  void copy_preliminary(Session& s, TapestryNode& nn, TapestryNode& surrogate,
-                        unsigned max_level);
   void multicast_visit(Session& s, NodeId at_id, unsigned prefix_len,
                        WatchList watch);
-  void check_watch_list(Session& s, TapestryNode& at, WatchList& watch);
   void release_pin(Session& s, const NodeId& at_id);
-  bool link(TapestryNode& owner, unsigned level, TapestryNode& nbr);
-  bool add_to_table_if_closer(TapestryNode& host, TapestryNode& cand);
-  void sync_backpointer(const NodeId& owner, const NodeId& member,
-                        unsigned level);
   void acquire_neighbor_table(Session& s, TapestryNode& nn,
                               unsigned max_level,
                               std::vector<NodeId> initial_list);
@@ -108,9 +99,8 @@ class ThreadedJoinDriver {
                                     const std::vector<NodeId>& list,
                                     unsigned level,
                                     std::unordered_set<std::uint64_t>& met);
-  void build_row_from_list(TapestryNode& nn, const std::vector<NodeId>& list,
-                           unsigned level);
 
+  MaintenanceEngine& eng_;
   NodeRegistry& reg_;
   Router& router_;
   const TapestryParams& params_;

@@ -1,9 +1,9 @@
 // Thread-parallel §5.1/§5.2 repair (see threaded_repair.h for the model,
-// the locking discipline and the determinism contract).  The protocol
-// steps mirror leave.cc / maintenance.cc; what differs is only *where*
-// synchronisation comes from: per-node stripe locks instead of a single
-// thread of control, plus the guarded §4.2 reroutes and the quiescent
-// chain-repair pass that replace the serial path's in-line rerouting.
+// the locking discipline and the determinism contract).  The per-node
+// steps are the MaintenanceEngine's (leave.cc, maintenance.cc), called
+// with the lock table and the live-id index; this file holds the
+// orchestration: the serial preamble, the parallel fan-out, the threaded
+// sweep and the quiescent chain-repair pass.
 #include "src/tapestry/threaded_repair.h"
 
 #include <algorithm>
@@ -13,16 +13,16 @@
 
 #include "src/sim/metrics.h"
 #include "src/sim/thread_pool.h"
-#include "src/tapestry/striped_links.h"
 
 namespace tap {
 
-ThreadedRepairDriver::ThreadedRepairDriver(NodeRegistry& registry,
+ThreadedRepairDriver::ThreadedRepairDriver(MaintenanceEngine& engine,
+                                           NodeRegistry& registry,
                                            Router& router,
                                            ObjectDirectory& directory,
                                            const TapestryParams& params)
-    : reg_(registry), router_(router), dir_(directory), params_(params),
-      locks_(registry.node_locks()) {}
+    : eng_(engine), reg_(registry), router_(router), dir_(directory),
+      params_(params), locks_(registry.node_locks()) {}
 
 void ThreadedRepairDriver::index_live_nodes() {
   live_values_.clear();
@@ -91,59 +91,18 @@ void ThreadedRepairDriver::run_leave(const std::vector<NodeId>& victims,
 
 void ThreadedRepairDriver::leave_one(Session& s) {
   TapestryNode& a = reg_.checked(s.victim);
-  const unsigned digits = params_.id.num_digits;
-
-  // 1. Notify every backpointer holder, level by level, with the hints.
-  for (unsigned l = 0; l < digits; ++l) {
-    const unsigned digit = s.victim.digit(l);
+  // 1. Notify every backpointer holder, level by level, with the hints;
+  //    §4.2 rerouting happens inside each notification.
+  for (unsigned l = 0; l < params_.id.num_digits; ++l) {
     for (const NodeId& holder : s.holders[l]) {
       TapestryNode* bp = reg_.find(holder);
       if (bp == nullptr || !bp->alive) continue;
-      reg_.acct(&s.trace, a, *bp, 1);  // LEAVINGNETWORK with hints
-      const auto before = dir_.snapshot_pointer_hops(*bp, &locks_);
-      striped::unlink(reg_, locks_, *bp, l, s.victim);
-      for (const NodeId& hint : s.hints[l]) {
-        if (hint == holder) continue;
-        if (TapestryNode* h = reg_.find(hint); h != nullptr && h->alive)
-          striped::link(reg_, locks_, *bp, l, *h);
-      }
-      bool empty;
-      {
-        NodeLockTable::Guard g(locks_, holder);
-        empty = bp->table().slot_empty(l, digit);
-      }
-      if (empty) {
-        if (auto rep = find_replacement(*bp, l, digit, &s.trace);
-            rep.has_value())
-          striped::link(reg_, locks_, *bp, l, reg_.live(*rep));
-      }
-      // §4.2 inside the wave: re-push local pointers whose paths crossed
-      // the leaver — including those the leaver rooted, which now flow on
-      // to their new surrogate roots.
-      dir_.reroute_changed_pointers(*bp, before, &s.trace, &locks_);
+      eng_.notify_leave(a, *bp, l, s.hints[l], &s.trace, &locks_,
+                        &live_values_);
     }
   }
-
-  // 2. REMOVELINK: retract the victim's own forward links so no one holds
-  //    a backpointer to a ghost.
-  for (unsigned l = 0; l < digits; ++l) {
-    for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      std::vector<NodeId> members;
-      {
-        NodeLockTable::Guard g(locks_, s.victim);
-        for (const auto& e : a.table().at(l, j).entries())
-          members.push_back(e.id);
-      }
-      for (const NodeId& m : members) {
-        if (m == s.victim) continue;
-        TapestryNode* other = reg_.find(m);
-        if (other != nullptr) reg_.acct(&s.trace, a, *other, 1);
-        NodeLockTable::Guard g(locks_, s.victim, m);
-        if (other != nullptr) other->table().remove_backpointer(l, s.victim);
-        a.table().remove(l, j, m);
-      }
-    }
-  }
+  // 2. REMOVELINK: retract the victim's own forward links.
+  eng_.remove_links(a, &s.trace, &locks_);
 }
 
 // ---------------------------------------------------------------------
@@ -192,107 +151,8 @@ void ThreadedRepairDriver::fail_one(Session& s) {
   for (const NodeId& holder : s.holders[0]) {
     TapestryNode* bp = reg_.find(holder);
     if (bp == nullptr || !bp->alive) continue;
-    purge_holder(*bp, s.victim, &s.trace);
+    eng_.purge_dead_neighbor(*bp, s.victim, &s.trace, &locks_, &live_values_);
   }
-}
-
-void ThreadedRepairDriver::purge_holder(TapestryNode& at, const NodeId& dead,
-                                        Trace* trace) {
-  const auto before = dir_.snapshot_pointer_hops(at, &locks_);
-  const unsigned gcp = at.id().common_prefix_len(dead);
-  const unsigned digits = params_.id.num_digits;
-  for (unsigned l = 0; l <= gcp && l < digits; ++l) {
-    const unsigned digit = dead.digit(l);
-    striped::unlink(reg_, locks_, at, l, dead);
-    bool empty;
-    {
-      NodeLockTable::Guard g(locks_, at.id());
-      empty = at.table().slot_empty(l, digit);
-    }
-    if (empty) {
-      // A hole appeared; Property 1 obliges us to find a replacement or
-      // establish that none exists (§5.2).
-      if (auto rep = find_replacement(at, l, digit, trace); rep.has_value())
-        striped::link(reg_, locks_, at, l, reg_.live(*rep));
-    }
-    NodeLockTable::Guard g(locks_, at.id());
-    at.table().remove_backpointer(l, dead);
-  }
-  dir_.reroute_changed_pointers(at, before, trace, &locks_);
-}
-
-// ---------------------------------------------------------------------
-// Replacement search
-// ---------------------------------------------------------------------
-
-std::optional<NodeId> ThreadedRepairDriver::find_replacement(TapestryNode& at,
-                                                             unsigned level,
-                                                             unsigned digit,
-                                                             Trace* trace) {
-  std::optional<NodeId> best;
-  double best_dist = 0.0;
-  auto offer = [&](const NodeId& cand) {
-    if (cand == at.id() || !reg_.is_live(cand)) return;
-    // Racy sources are filtered here rather than trusted structurally.
-    if (cand.digit(level) != digit || !at.id().matches_prefix(cand, level))
-      return;
-    const double d = reg_.dist(at, reg_.checked(cand));
-    if (!best.has_value() || d < best_dist ||
-        (d == best_dist && cand < *best)) {
-      best = cand;
-      best_dist = d;
-    }
-  };
-
-  // Local search first, as in the serial path: the remaining level-`level`
-  // contacts all share our length-`level` prefix; ask each for its own
-  // entry in the vacated slot.
-  std::vector<NodeId> peers;
-  {
-    NodeLockTable::Guard g(locks_, at.id());
-    peers = at.table().row_members(level);
-    for (const NodeId& b : at.table().backpointers(level))
-      peers.push_back(b);
-  }
-  std::sort(peers.begin(), peers.end());
-  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-  for (const NodeId& peer : peers) {
-    if (peer == at.id() || !reg_.is_live(peer)) continue;
-    TapestryNode& p = reg_.live(peer);
-    reg_.acct(trace, at, p, 2);  // ask for its (level, digit) entries
-    std::vector<NodeId> cands;
-    {
-      NodeLockTable::Guard g(locks_, peer);
-      for (const auto& e : p.table().at(level, digit).entries())
-        cands.push_back(e.id);
-    }
-    for (const NodeId& c : cands) offer(c);
-  }
-  if (best.has_value()) return best;
-
-  // Fallback, replacing the serial path's acknowledged multicast (an
-  // unguarded recursive walk, unusable mid-wave): ids sharing our length-
-  // `level` prefix with `digit` next occupy one contiguous value range, so
-  // the sorted live-id index enumerates exactly the candidate set the
-  // multicast would have visited — and the (distance, id) minimum is the
-  // same winner regardless of enumeration order.
-  const unsigned shift =
-      (params_.id.num_digits - level - 1) * params_.id.digit_bits;
-  const std::uint64_t lo =
-      ((at.id().prefix_value(level) << params_.id.digit_bits) | digit)
-      << shift;
-  const std::uint64_t span = std::uint64_t{1} << shift;
-  for (auto it =
-           std::lower_bound(live_values_.begin(), live_values_.end(), lo);
-       it != live_values_.end() && *it - lo < span; ++it) {
-    const NodeId cand(params_.id, *it);
-    if (cand == at.id()) continue;
-    if (TapestryNode* c = reg_.find(cand); c != nullptr && c->alive) {
-      reg_.acct(trace, at, *c, 1);  // the multicast-equivalent probe
-      offer(cand);
-    }
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------
@@ -334,7 +194,7 @@ bool ThreadedRepairDriver::sweep_node(TapestryNode& n, Trace* trace) {
   std::sort(corpses.begin(), corpses.end());
   corpses.erase(std::unique(corpses.begin(), corpses.end()), corpses.end());
   for (const NodeId& dead : corpses) {
-    purge_holder(n, dead, trace);
+    eng_.purge_dead_neighbor(n, dead, trace, &locks_, &live_values_);
     changed = true;
   }
 
@@ -342,20 +202,10 @@ bool ThreadedRepairDriver::sweep_node(TapestryNode& n, Trace* trace) {
   // fallback makes the search complete, so one pass fills every slot that
   // has a live candidate at all — Property 1 at quiescence by
   // construction, independent of thread interleaving.
-  for (unsigned l = 0; l < digits; ++l) {
-    for (unsigned j = 0; j < radix; ++j) {
-      bool empty;
-      {
-        NodeLockTable::Guard g(locks_, n.id());
-        empty = n.table().slot_empty(l, j);
-      }
-      if (!empty) continue;
-      if (auto rep = find_replacement(n, l, j, trace); rep.has_value()) {
-        striped::link(reg_, locks_, n, l, reg_.live(*rep));
-        changed = true;
-      }
-    }
-  }
+  for (unsigned l = 0; l < digits; ++l)
+    for (unsigned j = 0; j < radix; ++j)
+      changed = eng_.refill_slot(n, l, j, trace, &locks_, &live_values_) ||
+                changed;
   return changed;
 }
 
@@ -421,7 +271,7 @@ class WaveTimer {
 void MaintenanceEngine::leave_bulk(const std::vector<NodeId>& victims,
                                    std::size_t workers, Trace* trace) {
   WaveTimer timer;
-  ThreadedRepairDriver driver(reg_, router_, dir_, params_);
+  ThreadedRepairDriver driver(*this, reg_, router_, dir_, params_);
   driver.run_leave(victims, workers, trace);
 }
 
@@ -429,14 +279,14 @@ void MaintenanceEngine::fail_and_repair_bulk(const std::vector<NodeId>& victims,
                                              std::size_t workers,
                                              Trace* trace) {
   WaveTimer timer;
-  ThreadedRepairDriver driver(reg_, router_, dir_, params_);
+  ThreadedRepairDriver driver(*this, reg_, router_, dir_, params_);
   driver.run_fail(victims, workers, trace);
 }
 
 void MaintenanceEngine::heartbeat_sweep_bulk(std::size_t workers,
                                              Trace* trace) {
   WaveTimer timer;
-  ThreadedRepairDriver driver(reg_, router_, dir_, params_);
+  ThreadedRepairDriver driver(*this, reg_, router_, dir_, params_);
   driver.run_sweep(workers, trace);
 }
 

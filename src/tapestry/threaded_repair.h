@@ -7,8 +7,10 @@
 // for a leave: the LEAVINGNETWORK notifications to every backpointer
 // holder with replacement hints, the holders' slot repair, and the final
 // REMOVELINK retraction; for a failure: the proactive purge every holder
-// would otherwise perform lazily — racing every other victim's repair
-// through the shared striped primitives (striped_links.h).
+// would otherwise perform lazily — racing every other victim's repair.
+// Each of those per-node steps is the MaintenanceEngine's own
+// (MaintenanceEngine::notify_leave, remove_links, purge_dead_neighbor,
+// refill_slot), called with the lock table and the wave's live-id index.
 //
 // §4.2 pointer rerouting happens *incrementally inside the wave*: around
 // each holder's table mutations the holder's pointer hops are snapshotted
@@ -48,8 +50,8 @@ namespace tap {
 
 class ThreadedRepairDriver {
  public:
-  ThreadedRepairDriver(NodeRegistry& registry, Router& router,
-                       ObjectDirectory& directory,
+  ThreadedRepairDriver(MaintenanceEngine& engine, NodeRegistry& registry,
+                       Router& router, ObjectDirectory& directory,
                        const TapestryParams& params);
 
   /// Voluntary departure (§5.1) of every victim, fanned out over `workers`
@@ -90,12 +92,6 @@ class ThreadedRepairDriver {
 
   void leave_one(Session& s);
   void fail_one(Session& s);
-  /// purge_dead_neighbor under the stripe discipline, reroute included.
-  void purge_holder(TapestryNode& at, const NodeId& dead, Trace* trace);
-  /// Complete replacement search: level-`level` contacts first, then the
-  /// prefix-range probe over the sorted live-id index (`live_values_`).
-  std::optional<NodeId> find_replacement(TapestryNode& at, unsigned level,
-                                         unsigned digit, Trace* trace);
   /// Rebuilds the sorted live-id index; call at each run's preamble (the
   /// live set is fixed for the duration of a wave).
   void index_live_nodes();
@@ -104,12 +100,13 @@ class ThreadedRepairDriver {
   void finish_wave(std::size_t workers, Trace* trace,
                    std::vector<Session>* sessions);
 
+  MaintenanceEngine& eng_;
   NodeRegistry& reg_;
   Router& router_;
   ObjectDirectory& dir_;
   const TapestryParams& params_;
   const NodeLockTable& locks_;
-  std::vector<std::uint64_t> live_values_;  ///< sorted live ids (preamble)
+  LiveIdIndex live_values_;  ///< sorted live ids (preamble)
 };
 
 }  // namespace tap
