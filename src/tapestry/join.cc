@@ -342,7 +342,7 @@ void MaintenanceEngine::unpin(TapestryNode& at, const NodeId& nn,
     const auto g = maybe_lock(locks, at.id());
     at.table().unpin(alpha, hole_digit, nn, evicted);
   }
-  for (const NodeId& ev : evicted) sync_backpointer(at.id(), ev, alpha, locks);
+  for (const NodeId& ev : evicted) sync_backpointer(at, ev, alpha, locks);
 }
 
 }  // namespace tap

@@ -74,17 +74,18 @@ void MaintenanceEngine::remove_links(TapestryNode& a, Trace* trace,
                                      const NodeLockTable* locks) {
   for (unsigned l = 0; l < params_.id.num_digits; ++l) {
     for (unsigned j = 0; j < params_.id.radix(); ++j) {
-      std::vector<NodeId> members;
+      std::vector<NeighborEntry> members;
       {
         const auto g = maybe_lock(locks, a.id());
-        for (const auto& e : a.table().at(l, j).entries())
-          members.push_back(e.id);
+        members = a.table().at(l, j).entries();  // copy: we mutate below
       }
-      for (const NodeId& m : members) {
-        if (m == a.id()) continue;
-        if (TapestryNode* other = reg_.find(m); other != nullptr)
-          reg_.acct(trace, a, *other, 1);
-        unlink(a, l, m, locks);
+      for (const auto& e : members) {
+        if (e.id == a.id()) continue;
+        TapestryNode* other = reg_.find(e.id);
+        if (other != nullptr) reg_.acct(trace, a, *other, 1);
+        const auto g = maybe_lock(locks, a.id(), e.id);
+        if (other != nullptr) other->table().remove_backpointer(l, a.id());
+        a.table().remove(l, j, e.id);
       }
     }
   }

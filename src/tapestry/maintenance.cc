@@ -70,21 +70,20 @@ bool MaintenanceEngine::link(TapestryNode& owner, unsigned level,
   }
   // The evictee is a third node: never locked while the pair is held.
   if (res.evicted.has_value())
-    sync_backpointer(owner.id(), *res.evicted, level, locks);
+    sync_backpointer(owner, *res.evicted, level, locks);
   return res.inserted;
 }
 
-void MaintenanceEngine::sync_backpointer(const NodeId& owner,
+void MaintenanceEngine::sync_backpointer(const TapestryNode& owner,
                                          const NodeId& member, unsigned level,
                                          const NodeLockTable* locks) {
-  TapestryNode* o = reg_.find(owner);
   TapestryNode* m = reg_.find(member);
-  if (o == nullptr || m == nullptr) return;
-  const auto g = maybe_lock(locks, owner, member);
-  if (o->table().at(level, member.digit(level)).contains(member))
-    m->table().add_backpointer(level, owner);
+  if (m == nullptr) return;
+  const auto g = maybe_lock(locks, owner.id(), member);
+  if (owner.table().at(level, member.digit(level)).contains(member))
+    m->table().add_backpointer(level, owner.id());
   else
-    m->table().remove_backpointer(level, owner);
+    m->table().remove_backpointer(level, owner.id());
 }
 
 void MaintenanceEngine::unlink(TapestryNode& owner, unsigned level,
@@ -197,8 +196,7 @@ std::optional<NodeId> MaintenanceEngine::find_replacement(
   if (live_ids == nullptr) {
     // Acknowledged multicast over our length-`level` prefix, collecting
     // any node carrying `digit` at that position.
-    router_.multicast(
-        at.id(), at.id(), level, [&](NodeId y) { offer(y); }, trace, {});
+    router_.multicast(at.id(), at.id(), level, offer, trace, {});
     return best;
   }
   // Inside a wave the multicast (an unguarded recursive walk) is unusable.

@@ -265,7 +265,7 @@ class MaintenanceEngine final : public RepairHandler {
   /// Sets member's level-`level` backpointer to owner's *current* slot
   /// membership — the evictee fix-up, which under `locks` runs after the
   /// pair's stripes drop (the last validation writes the truth).
-  void sync_backpointer(const NodeId& owner, const NodeId& member,
+  void sync_backpointer(const TapestryNode& owner, const NodeId& member,
                         unsigned level, const NodeLockTable* locks);
 
   void schedule_heartbeat_tick(double every, Trace* trace);
