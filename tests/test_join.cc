@@ -4,10 +4,12 @@
 // must produce locality-correct tables.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "src/common/stats.h"
 #include "src/metric/analysis.h"
+#include "src/tapestry/fingerprint.h"
 #include "test_util.h"
 
 namespace tap {
@@ -231,6 +233,62 @@ TEST(Join, TraceCountsRealisticCosts) {
   g.net->join(64, std::nullopt, &t);
   EXPECT_GT(t.messages(), 0u);
   EXPECT_GT(t.latency(), 0.0);
+}
+
+/// What a run of serial joins leaves behind: the messages it charged and
+/// the table and store fingerprints right after it.
+struct JoinOutput {
+  std::size_t messages = 0;
+  std::uint64_t tables = 0;
+  std::uint64_t stores = 0;
+  bool operator==(const JoinOutput& o) const {
+    return messages == o.messages && tables == o.tables && stores == o.stores;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const JoinOutput& o) {
+  return os << "{" << o.messages << "u, " << o.tables << "ull, " << o.stores
+            << "ull}";
+}
+
+TEST(Join, SerialJoinKeepsPinnedOutputs) {
+  // The serial join is deterministic for a seed, so its exact messages,
+  // tables and stores can be pinned: a change to the §3 descent, the §4.2
+  // reroutes inside LINKANDXFERROOT or the α-list entry point moves these.
+  auto g = grow_ring_network(96, 417);
+  Network& net = *g.net;
+  for (std::uint64_t i = 0; i < 24; ++i)
+    net.publish(g.ids[(i * 5 + 2) % g.ids.size()], make_guid(net, 7100 + i));
+
+  // Joins into a populated overlay reroute pointers whose root or path
+  // moves to the new node (§4.2).
+  const std::uint64_t stores_before = fingerprint_stores(net);
+  std::vector<JoinOutput> got;
+  Trace t_join;
+  for (Location loc = 96; loc < 144; ++loc)
+    net.join(loc, std::nullopt, &t_join);
+  got.push_back(
+      {t_join.messages(), fingerprint_tables(net), fingerprint_stores(net)});
+  // Heuristic 2 (§6.4) after a move: the rebuild runs the same descent
+  // from the α-list its multicast regenerates.
+  Trace t_rebuild;
+  for (std::size_t i = 0; i < 8; ++i) {
+    net.relocate(g.ids[3 + 11 * i], 144 + i);
+    net.rebuild_neighbor_table(g.ids[3 + 11 * i], &t_rebuild);
+  }
+  got.push_back(
+      {t_rebuild.messages(), fingerprint_tables(net), fingerprint_stores(net)});
+
+  const std::vector<JoinOutput> want = {
+      {12360u, 4824003669452752104ull, 8408023123633840571ull},
+      {2447u, 750981228838288518ull, 17763591254963008270ull},
+  };
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "step " << i;
+  EXPECT_NE(got[0].stores, stores_before) << "no join moved a pointer";
+  net.check_property1();
+  net.check_backpointer_symmetry();
+  net.check_property4();
 }
 
 }  // namespace
