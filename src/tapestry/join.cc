@@ -88,7 +88,7 @@ NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
   //    result as the first (level-α) list.  Pointers transferred to the
   //    new node during step 3 are re-checked after its table settles.
   const auto before = dir_.snapshot_pointer_hops(nn);
-  acquire_neighbor_table(nn, alpha, std::move(alpha_nodes), trace);
+  acquire_neighbor_table(nn, alpha, alpha_nodes, trace);
   dir_.reroute_changed_pointers(nn, before, trace);
 
   nn.inserting = false;
@@ -132,97 +132,100 @@ void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
   dir_.reroute_changed_pointers(host, before, trace);
 }
 
-std::vector<NodeId> trim_closest_candidates(const NodeRegistry& reg,
-                                            const TapestryNode& nn,
-                                            std::vector<NodeId> list,
-                                            std::size_t k) {
-  // Dedupe, drop dead nodes and the node itself, order by distance.
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end()), list.end());
-  list.erase(std::remove_if(list.begin(), list.end(),
-                            [&](const NodeId& x) {
-                              return x == nn.id() || !reg.is_live(x);
-                            }),
-             list.end());
-  std::stable_sort(list.begin(), list.end(),
-                   [&](const NodeId& a, const NodeId& b) {
-                     const double da = reg.dist(nn, reg.checked(a));
-                     const double db = reg.dist(nn, reg.checked(b));
-                     if (da != db) return da < db;
-                     return a < b;
-                   });
-  if (list.size() > k) list.resize(k);
+CandidateList closest_candidates(CandidateList list, std::size_t k) {
+  const auto last = list.begin() + std::min(k, list.size());
+  std::partial_sort(list.begin(), last, list.end(),
+                    [](const DescentCandidate& a, const DescentCandidate& b) {
+                      if (a.dist != b.dist) return a.dist < b.dist;
+                      return a.id < b.id;
+                    });
+  list.erase(last, list.end());
   return list;
 }
 
+CandidateList MaintenanceEngine::measure_candidates(
+    const TapestryNode& nn, const std::vector<NodeId>& ids) const {
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(ids.size());
+  CandidateList out;
+  for (const NodeId& x : ids) {
+    if (x == nn.id() || !seen.insert(x.value()).second) continue;
+    TapestryNode* node = reg_.find(x);
+    if (node != nullptr && node->alive)
+      out.push_back({reg_.dist(nn, *node), x, node});
+  }
+  return out;
+}
+
+CandidateList MaintenanceEngine::gather_candidates(
+    TapestryNode& nn, const CandidateList& list, unsigned level, Trace* trace,
+    const NodeLockTable* locks) {
+  std::vector<NodeId> ids;
+  for (const DescentCandidate& m : list) {
+    if (!m.node->alive) continue;
+    reg_.acct(trace, nn, *m.node, 2);  // GETFORWARDANDBACKPOINTERS round trip
+    {
+      const auto g = maybe_lock(locks, m.id);
+      const RoutingTable& t = m.node->table();
+      for (const NodeId& x : t.row_members(level)) ids.push_back(x);
+      for (const NodeId& x : t.backpointers(level)) ids.push_back(x);
+    }
+    ids.push_back(m.id);  // the member itself matches >= level digits
+  }
+  CandidateList cands = measure_candidates(nn, ids);
+  std::sort(cands.begin(), cands.end(),
+            [](const DescentCandidate& a, const DescentCandidate& b) {
+              return a.id < b.id;
+            });
+  return cands;
+}
+
 void MaintenanceEngine::build_row_from_list(TapestryNode& nn,
-                                            const std::vector<NodeId>& list,
+                                            const CandidateList& list,
                                             unsigned level,
                                             const NodeLockTable* locks) {
-  for (const NodeId& x : list) {
-    if (x == nn.id() || !reg_.is_live(x)) continue;
-    TapestryNode& cand = reg_.live(x);
-    TAP_ASSERT_MSG(nn.id().common_prefix_len(x) >= level,
+  for (const DescentCandidate& c : list) {
+    if (!c.node->alive) continue;
+    TAP_ASSERT_MSG(nn.id().common_prefix_len(c.id) >= level,
                    "candidate does not share the row prefix");
-    link(nn, level, cand, locks);
+    link(nn, level, *c.node, locks);
   }
 }
 
-std::vector<NodeId> MaintenanceEngine::get_next_list(
-    TapestryNode& nn, const std::vector<NodeId>& list, unsigned level,
+CandidateList MaintenanceEngine::get_next_list(
+    TapestryNode& nn, const CandidateList& list, unsigned level,
     std::unordered_set<std::uint64_t>& contacted, Trace* trace) {
-  std::vector<NodeId> candidates;
-  for (const NodeId& m : list) {
-    if (!reg_.is_live(m)) continue;
-    TapestryNode& member = reg_.live(m);
-    reg_.acct(trace, nn, member, 2);  // GETFORWARDANDBACKPOINTERS round trip
-    for (const NodeId& x : member.table().row_members(level))
-      candidates.push_back(x);
-    for (const NodeId& x : member.table().backpointers(level))
-      candidates.push_back(x);
-    candidates.push_back(m);  // the member itself matches >= level digits
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                  [&](const NodeId& x) {
-                                    return x == nn.id() || !reg_.is_live(x);
-                                  }),
-                   candidates.end());
-
+  CandidateList candidates = gather_candidates(nn, list, level, trace);
   // Measure the distance to every candidate met for the first time; the
   // contacted node simultaneously checks whether the new node belongs in
   // its own table (ADDTOTABLEIFCLOSER, Theorem 4) and fixes pointer paths.
-  for (const NodeId& x : candidates) {
-    if (contacted.insert(x.value()).second) {
-      TapestryNode& cand = reg_.live(x);
-      reg_.acct(trace, nn, cand, 2);  // distance probe round trip
-      link_and_xfer_root(cand, nn, trace);
+  for (const DescentCandidate& c : candidates) {
+    if (contacted.insert(c.id.value()).second) {
+      reg_.acct(trace, nn, *c.node, 2);  // distance probe round trip
+      link_and_xfer_root(*c.node, nn, trace);
     }
   }
   return candidates;
 }
 
-void MaintenanceEngine::acquire_neighbor_table(TapestryNode& nn,
-                                               unsigned max_level,
-                                               std::vector<NodeId> initial_list,
-                                               Trace* trace) {
+void MaintenanceEngine::acquire_neighbor_table(
+    TapestryNode& nn, unsigned max_level,
+    const std::vector<NodeId>& initial_list, Trace* trace) {
   const std::size_t k = params_.effective_k(reg_.live_count());
   std::unordered_set<std::uint64_t> contacted;
   for (const NodeId& x : initial_list) contacted.insert(x.value());
 
   // Level max_level: the multicast already visited every α-node, so the
-  // initial candidate set is complete by construction.
-  build_row_from_list(nn, initial_list, max_level);
-  std::vector<NodeId> list =
-      trim_closest_candidates(reg_, nn, std::move(initial_list), k);
+  // initial candidate set is complete by construction (linked in visit
+  // order).
+  CandidateList candidates = measure_candidates(nn, initial_list);
+  build_row_from_list(nn, candidates, max_level);
+  CandidateList list = closest_candidates(std::move(candidates), k);
 
   for (unsigned level = max_level; level-- > 0;) {
-    std::vector<NodeId> candidates =
-        get_next_list(nn, list, level, contacted, trace);
+    candidates = get_next_list(nn, list, level, contacted, trace);
     build_row_from_list(nn, candidates, level);
-    list = trim_closest_candidates(reg_, nn, std::move(candidates), k);
+    list = closest_candidates(std::move(candidates), k);
   }
 }
 

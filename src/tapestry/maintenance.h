@@ -66,14 +66,21 @@ struct MulticastChild {
     unsigned prefix_len, unsigned alpha, unsigned hole_digit,
     const std::unordered_set<std::uint64_t>& processed);
 
-/// The §3 k-list trim, shared by the serial join (join.cc) and the
-/// threaded driver (threaded_join.cc) so both run the SAME rule: dedupe,
-/// drop dead nodes and the node itself, order by (distance, id), keep the
-/// k closest.  Pure reads — callers provide whatever synchronisation the
-/// candidate list itself needed.
-[[nodiscard]] std::vector<NodeId> trim_closest_candidates(
-    const NodeRegistry& reg, const TapestryNode& nn, std::vector<NodeId> list,
-    std::size_t k);
+/// One candidate of the §3 nearest-neighbour descent, measured once: its
+/// distance from the node building its table, its id and its node.  Every
+/// level of the serial and the threaded descent carries these, so each
+/// candidate is looked up and measured once per level.
+struct DescentCandidate {
+  double dist = 0.0;
+  NodeId id{};
+  TapestryNode* node = nullptr;
+};
+using CandidateList = std::vector<DescentCandidate>;
+
+/// The §3 k-list trim shared by every descent: the k closest of `list` in
+/// (distance, id) order.  The ids are unique, so the order is total.
+[[nodiscard]] CandidateList closest_candidates(CandidateList list,
+                                               std::size_t k);
 
 class MaintenanceEngine final : public RepairHandler {
  public:
@@ -237,9 +244,20 @@ class MaintenanceEngine final : public RepairHandler {
                               const NodeLockTable* locks = nullptr);
   void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace);
   void acquire_neighbor_table(TapestryNode& nn, unsigned max_level,
-                              std::vector<NodeId> initial_list, Trace* trace);
-  /// Links every live member of `list` into nn's row `level`.
-  void build_row_from_list(TapestryNode& nn, const std::vector<NodeId>& list,
+                              const std::vector<NodeId>& initial_list,
+                              Trace* trace);
+  /// The live nodes of `ids` other than nn, each looked up and measured
+  /// from nn once, in the order of their first occurrence.
+  [[nodiscard]] CandidateList measure_candidates(
+      const TapestryNode& nn, const std::vector<NodeId>& ids) const;
+  /// GETFORWARDANDBACKPOINTERS at `level` to every live member of `list`
+  /// (one round trip each): the members, their row-`level` entries and
+  /// backpointers, measured, in id order.
+  [[nodiscard]] CandidateList gather_candidates(
+      TapestryNode& nn, const CandidateList& list, unsigned level,
+      Trace* trace, const NodeLockTable* locks = nullptr);
+  /// Links every still-live member of `list` into nn's row `level`.
+  void build_row_from_list(TapestryNode& nn, const CandidateList& list,
                            unsigned level,
                            const NodeLockTable* locks = nullptr);
   /// The initial watch list: the complement of nn's row occupancy.
@@ -259,9 +277,10 @@ class MaintenanceEngine final : public RepairHandler {
              unsigned hole_digit, const NodeLockTable* locks = nullptr);
 
  private:
-  std::vector<NodeId> get_next_list(
-      TapestryNode& nn, const std::vector<NodeId>& list, unsigned level,
-      std::unordered_set<std::uint64_t>& contacted, Trace* trace);
+  CandidateList get_next_list(TapestryNode& nn, const CandidateList& list,
+                              unsigned level,
+                              std::unordered_set<std::uint64_t>& contacted,
+                              Trace* trace);
   /// Sets member's level-`level` backpointer to owner's *current* slot
   /// membership — the evictee fix-up, which under `locks` runs after the
   /// pair's stripes drop (the last validation writes the truth).

@@ -5,8 +5,6 @@
 // walk and the neighbor-table descent.
 #include "src/tapestry/threaded_join.h"
 
-#include <algorithm>
-
 #include "src/sim/thread_pool.h"
 
 namespace tap {
@@ -186,42 +184,19 @@ void ThreadedJoinDriver::release_pin(Session& s, const NodeId& at_id) {
 // Nearest-neighbor table construction (§3) under the stripe discipline
 // ---------------------------------------------------------------------
 
-std::vector<NodeId> ThreadedJoinDriver::get_next_list(
-    Session& s, TapestryNode& nn, const std::vector<NodeId>& list,
-    unsigned level, std::unordered_set<std::uint64_t>& met) {
-  std::vector<NodeId> candidates;
-  for (const NodeId& m : list) {
-    TapestryNode* member = reg_.find(m);
-    if (member == nullptr || !member->alive) continue;
-    reg_.acct(&s.trace, nn, *member, 2);  // GETFORWARDANDBACKPOINTERS
-    {
-      NodeLockTable::Guard g(locks_, m);
-      for (const NodeId& x : member->table().row_members(level))
-        candidates.push_back(x);
-      for (const NodeId& x : member->table().backpointers(level))
-        candidates.push_back(x);
-    }
-    candidates.push_back(m);  // the member itself matches >= level digits
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                  [&](const NodeId& x) {
-                                    return x == nn.id() || !reg_.is_live(x);
-                                  }),
-                   candidates.end());
-
+CandidateList ThreadedJoinDriver::get_next_list(
+    Session& s, TapestryNode& nn, const CandidateList& list, unsigned level,
+    std::unordered_set<std::uint64_t>& met) {
+  CandidateList candidates =
+      eng_.gather_candidates(nn, list, level, &s.trace, &locks_);
   // Every first-met candidate is distance-probed, and the contacted node
   // simultaneously checks whether the new node improves its own table
   // (ADDTOTABLEIFCLOSER, Theorem 4).  Pointer redistribution is deferred
   // to the soft-state republish backstop (see threaded_join.h).
-  for (const NodeId& x : candidates) {
-    if (met.insert(x.value()).second) {
-      TapestryNode* cand = reg_.find(x);
-      if (cand == nullptr || !cand->alive) continue;
-      reg_.acct(&s.trace, nn, *cand, 2);  // distance probe round trip
-      eng_.add_to_table_if_closer(*cand, nn, &locks_);
+  for (const DescentCandidate& c : candidates) {
+    if (met.insert(c.id.value()).second) {
+      reg_.acct(&s.trace, nn, *c.node, 2);  // distance probe round trip
+      eng_.add_to_table_if_closer(*c.node, nn, &locks_);
     }
   }
   return candidates;
@@ -229,19 +204,19 @@ std::vector<NodeId> ThreadedJoinDriver::get_next_list(
 
 void ThreadedJoinDriver::acquire_neighbor_table(
     Session& s, TapestryNode& nn, unsigned max_level,
-    std::vector<NodeId> initial_list) {
+    const std::vector<NodeId>& initial_list) {
   const std::size_t k = params_.effective_k(reg_.live_count());
   std::unordered_set<std::uint64_t> met;
   for (const NodeId& x : initial_list) met.insert(x.value());
 
-  eng_.build_row_from_list(nn, initial_list, max_level, &locks_);
-  std::vector<NodeId> list =
-      trim_closest_candidates(reg_, nn, std::move(initial_list), k);
+  CandidateList candidates = eng_.measure_candidates(nn, initial_list);
+  eng_.build_row_from_list(nn, candidates, max_level, &locks_);
+  CandidateList list = closest_candidates(std::move(candidates), k);
 
   for (unsigned level = max_level; level-- > 0;) {
-    std::vector<NodeId> candidates = get_next_list(s, nn, list, level, met);
+    candidates = get_next_list(s, nn, list, level, met);
     eng_.build_row_from_list(nn, candidates, level, &locks_);
-    list = trim_closest_candidates(reg_, nn, std::move(candidates), k);
+    list = closest_candidates(std::move(candidates), k);
   }
 }
 

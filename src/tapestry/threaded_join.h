@@ -94,11 +94,10 @@ class ThreadedJoinDriver {
   void release_pin(Session& s, const NodeId& at_id);
   void acquire_neighbor_table(Session& s, TapestryNode& nn,
                               unsigned max_level,
-                              std::vector<NodeId> initial_list);
-  std::vector<NodeId> get_next_list(Session& s, TapestryNode& nn,
-                                    const std::vector<NodeId>& list,
-                                    unsigned level,
-                                    std::unordered_set<std::uint64_t>& met);
+                              const std::vector<NodeId>& initial_list);
+  CandidateList get_next_list(Session& s, TapestryNode& nn,
+                              const CandidateList& list, unsigned level,
+                              std::unordered_set<std::uint64_t>& met);
 
   MaintenanceEngine& eng_;
   NodeRegistry& reg_;

@@ -4,6 +4,7 @@
 // must produce locality-correct tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <set>
 
@@ -233,6 +234,74 @@ TEST(Join, TraceCountsRealisticCosts) {
   g.net->join(64, std::nullopt, &t);
   EXPECT_GT(t.messages(), 0u);
   EXPECT_GT(t.latency(), 0.0);
+}
+
+/// The k-list trim rule the §3 descent had before it measured each
+/// candidate once: sort, dedupe, drop dead nodes and the node itself,
+/// stable-sort by (distance, id) with a registry lookup per comparison,
+/// keep the first k.
+std::vector<NodeId> reference_trim(const NodeRegistry& reg,
+                                   const TapestryNode& nn,
+                                   std::vector<NodeId> list, std::size_t k) {
+  std::sort(list.begin(), list.end());
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+  list.erase(std::remove_if(list.begin(), list.end(),
+                            [&](const NodeId& x) {
+                              return x == nn.id() || !reg.is_live(x);
+                            }),
+             list.end());
+  std::stable_sort(list.begin(), list.end(),
+                   [&](const NodeId& a, const NodeId& b) {
+                     const double da = reg.dist(nn, reg.checked(a));
+                     const double db = reg.dist(nn, reg.checked(b));
+                     if (da != db) return da < db;
+                     return a < b;
+                   });
+  if (list.size() > k) list.resize(k);
+  return list;
+}
+
+TEST(Join, ClosestKMatchesReferenceTrim) {
+  // An evenly spaced ring (no jitter, 128 = 2^7 slots) makes distances
+  // exact multiples of 1/128, so nodes on either side of nn tie.
+  Rng rng(6);
+  RingMetric space(128, rng, 0.0);
+  Network net(space, small_params(), 19);
+  std::vector<NodeId> ids{net.bootstrap(0)};
+  for (Location loc = 1; loc < 96; ++loc) ids.push_back(net.join(loc));
+  for (std::size_t i = 4; i < ids.size(); i += 16) net.fail(ids[i]);
+  const NodeRegistry& reg = net.registry();
+
+  Rng draw(20);
+  bool saw_tie = false;
+  for (int round = 0; round < 300; ++round) {
+    const NodeId self = ids[draw.next_u64(ids.size())];
+    if (!reg.is_live(self)) continue;
+    const TapestryNode& nn = reg.checked(self);
+    // Draws from a 24-node window repeat ids; nn itself and failed nodes
+    // are in the window too.
+    const std::size_t base = draw.next_u64(ids.size() - 24);
+    std::vector<NodeId> list{self};
+    const std::size_t len = 1 + draw.next_u64(40);
+    for (std::size_t i = 0; i < len; ++i)
+      list.push_back(ids[base + draw.next_u64(24)]);
+
+    const CandidateList measured =
+        net.maintenance().measure_candidates(nn, list);
+    for (std::size_t i = 0; i < measured.size() && !saw_tie; ++i)
+      for (std::size_t j = i + 1; j < measured.size(); ++j)
+        if (measured[i].dist == measured[j].dist) saw_tie = true;
+
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, list.size(),
+                                list.size() + 5}) {
+      std::vector<NodeId> got;
+      for (const DescentCandidate& c : closest_candidates(measured, k))
+        got.push_back(c.id);
+      ASSERT_EQ(got, reference_trim(reg, nn, list, k))
+          << "round " << round << ", k " << k;
+    }
+  }
+  EXPECT_TRUE(saw_tie) << "no equal distances met: the tie-break is untested";
 }
 
 /// What a run of serial joins leaves behind: the messages it charged and
