@@ -25,6 +25,16 @@ Guid scenario_guid(const TapestryParams& params, std::uint64_t seed,
   return Guid(spec, splitmix64(splitmix64(seed) ^ index) & mask);
 }
 
+// The live ids in value order.  node_ids() lists nodes in registration
+// order, and a multi-worker join_bulk registers in thread-schedule order;
+// every random pick of the soak indexes this list instead, so what it
+// picks is a function of the seed alone, whatever the worker count.
+std::vector<NodeId> sorted_node_ids(const Network& net) {
+  std::vector<NodeId> ids = net.node_ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -624,7 +634,7 @@ Guid ThreadedChurnSoak::soak_guid() {
 
 ThreadedChurnSoak::RoundPlan ThreadedChurnSoak::plan_round() {
   RoundPlan plan;
-  const std::vector<NodeId> ids = net_.node_ids();
+  const std::vector<NodeId> ids = sorted_node_ids(net_);
 
   // Joins: vacated or never-used locations, fresh random ids (drawn inside
   // join_bulk's serial preamble — part of its determinism contract).
@@ -681,7 +691,7 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
 
   // Initial object population, published serially at quiescence.
   {
-    const std::vector<NodeId> ids = net_.node_ids();
+    const std::vector<NodeId> ids = sorted_node_ids(net_);
     for (std::size_t i = 0; i < sc_.objects; ++i) {
       const Guid g = soak_guid();
       const NodeId server = ids[rng_.next_u64(ids.size())];
@@ -703,7 +713,7 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
     for (const NodeId v : plan.fails) doomed.insert(v.value());
     for (const NodeId v : plan.leaves) doomed.insert(v.value());
     std::vector<NodeId> sources;
-    for (const NodeId id : net_.node_ids())
+    for (const NodeId id : sorted_node_ids(net_))
       if (doomed.count(id.value()) == 0) sources.push_back(id);
 
     std::atomic<bool> stop{false};
@@ -765,7 +775,7 @@ ThreadedChurnReport ThreadedChurnSoak::run() {
 
     // Quiescent availability sweep: every tracked object (servers are all
     // still live by construction) from a random live client, no republish.
-    const std::vector<NodeId> ids = net_.node_ids();
+    const std::vector<NodeId> ids = sorted_node_ids(net_);
     for (const auto& entry : tracked_) {
       if (!net_.contains(entry.second)) continue;
       ++rep.queries;
