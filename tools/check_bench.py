@@ -30,11 +30,34 @@ Metrics present in the baseline but missing from the result fail (a bench
 that silently stops reporting a gated number is itself a regression);
 result metrics with no baseline entry are informational only.  Exit code 0
 when every gate holds, 1 otherwise.
+
+Trajectory mode:
+    check_bench.py --trajectory BENCH_*.json [--benchmark BENCHMARK.json]
+
+Each BENCH_<pr>.json at the repo root records one change's perfbench
+result: per workload, the median and quartiles of every end-to-end metric
+over its alternating parent/change runs,
+
+    {"pr": 16, "workloads": {"churn": {
+        "parent": {"setup_s": {"median": 0.62, "q1": 0.60, "q3": 0.66}},
+        "change": {"setup_s": {"median": 0.33, "q1": 0.31, "q3": 0.35}}}}}
+
+The files are ordered by PR number, and for every consecutive pair the
+later `change` median of each BENCHMARK.json end-to-end metric is checked
+against the earlier one with that metric's bound (`lower`: fail when
+later > earlier * (1 + bound); `higher`: fail when later < earlier *
+(1 - bound)).  A metric or workload missing from either file of a pair is
+reported and skipped.
 """
 
 import argparse
 import json
+import os
+import re
 import sys
+
+DEFAULT_BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 os.pardir, "BENCHMARK.json")
 
 
 def load(path):
@@ -68,14 +91,83 @@ def check_metric(name, spec, result_value, default_tolerance):
     return ok, detail
 
 
+def pr_number(path, doc):
+    if "pr" in doc:
+        return int(doc["pr"])
+    m = re.search(r"BENCH_(\d+)\.json$", os.path.basename(path))
+    if m is None:
+        sys.exit(f"{path}: no 'pr' key and no PR number in the file name")
+    return int(m.group(1))
+
+
+def check_trajectory(paths, benchmark_path):
+    """Gates consecutive BENCH_<pr>.json change medians; returns failures."""
+    with open(benchmark_path) as f:
+        bounds = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    runs = []
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        if "workloads" not in doc:
+            sys.exit(f"{path}: no 'workloads' key")
+        runs.append((pr_number(path, doc), path, doc))
+    runs.sort(key=lambda r: r[0])
+    if len(runs) < 2:
+        print(f"{len(runs)} trajectory file(s): nothing to compare")
+        return 0
+
+    failures = 0
+    for (pr_a, _, a), (pr_b, _, b) in zip(runs, runs[1:]):
+        print(f"PR {pr_a} -> PR {pr_b}")
+        for workload in sorted(set(a["workloads"]) | set(b["workloads"])):
+            if workload not in a["workloads"] or \
+                    workload not in b["workloads"]:
+                print(f"  {workload}: not in both files, skipped")
+                continue
+            before = a["workloads"][workload].get("change", {})
+            after = b["workloads"][workload].get("change", {})
+            for name, spec in bounds.items():
+                if name not in before or name not in after:
+                    print(f"  {workload}.{name}: not in both files, skipped")
+                    continue
+                old = float(before[name]["median"])
+                new = float(after[name]["median"])
+                bound = float(spec["bound"])
+                if spec["better"] == "lower":
+                    ok = new <= old * (1.0 + bound)
+                else:
+                    ok = new >= old * (1.0 - bound)
+                print(f"  {workload}.{name}: {old:g} -> {new:g} "
+                      f"{'ok' if ok else 'FAIL'} [bound {bound:.0%}, "
+                      f"{spec['better']} is better]")
+                failures += not ok
+    if failures:
+        print(f"\n{failures} metric(s) worsened past their bound")
+    else:
+        print("\nno metric worsened past its bound")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline")
-    parser.add_argument("result")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("result", nargs="?")
     parser.add_argument("--default-tolerance", type=float, default=0.25,
                         help="relative tolerance when a metric declares "
                              "none (default: 0.25 = fail on >25%% regression)")
+    parser.add_argument("--trajectory", nargs="+", metavar="BENCH_PR.json",
+                        help="gate consecutive BENCH_<pr>.json files "
+                             "instead of a baseline/result pair")
+    parser.add_argument("--benchmark", default=DEFAULT_BENCHMARK,
+                        help="BENCHMARK.json with the end-to-end bounds "
+                             "(trajectory mode; default: the repo's)")
     args = parser.parse_args()
+    if args.trajectory:
+        if args.baseline is not None:
+            parser.error("--trajectory takes no baseline/result pair")
+        return 1 if check_trajectory(args.trajectory, args.benchmark) else 0
+    if args.result is None:
+        parser.error("BASELINE and RESULT are required")
 
     baseline = load(args.baseline)
     result = load(args.result)
