@@ -2,15 +2,17 @@
 """Run alternating parent/change perfbench pairs and write BENCH_<pr>.json.
 
 Usage:
-    bench_pairs.py --parent DIR --change DIR --pr N [--pairs 10]
-                   [--seed 1] [--seconds 30] [--workloads lookup churn]
+    bench_pairs.py --parent DIR --change DIR --pr N [--seed 1]
                    [--out BENCH_N.json]
 
 DIR is a checkout of each commit (for example `git clone` of the parent into
-a scratch directory).  Each pair runs `python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0` once in each checkout; even pairs run the
-parent first, odd pairs the change.  perfbench builds itself in each
-checkout's own `.bench_build/`.
+a scratch directory).  For every workload in the change's BENCHMARK.json,
+each of ten pairs runs `python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0` once in each checkout, with T the file's
+`run_seconds`; even pairs run the parent first, odd pairs the change.
+perfbench builds itself in each checkout's own `.bench_build/`.  A
+held-out seed's pairs belong in a file of their own (--out), not in the
+BENCH_<pr>.json of the trajectory.
 
 The output has, per workload and side, every end-to-end metric's runs,
 median and quartiles (statistics.quantiles, inclusive method), plus the
@@ -26,6 +28,8 @@ import re
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -62,37 +66,36 @@ def main():
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--workloads", nargs="+", default=["lookup", "churn"])
     ap.add_argument("--out")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        benchmark = json.load(f)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
 
-    doc = {"pr": args.pr, "seed": args.seed, "seconds": args.seconds,
-           "pairs": args.pairs, "workloads": {}}
-    for workload in args.workloads:
+    doc = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
+           "pairs": PAIRS, "workloads": {}}
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
                 runs[side].append(
-                    run_once(checkout, workload, args.seed, args.seconds))
-            print(f"{workload} pair {i + 1}/{args.pairs} done", flush=True)
+                    run_once(checkout, workload, args.seed, seconds))
+            print(f"{workload} pair {i + 1}/{PAIRS} done", flush=True)
         parent, change = summarize(runs["parent"]), summarize(runs["change"])
         doc["workloads"][workload] = {"parent": parent, "change": change}
 
-        print(f"\n{workload} (seed {args.seed}, {args.pairs} pairs)")
+        print(f"\n{workload} (seed {args.seed}, {PAIRS} pairs)")
         for name, kind in better.items():
             p, c = parent[name], change[name]
             sign = -1.0 if kind == "lower" else 1.0
             wins = sum(sign * (b - a) > 0 for a, b in zip(p["runs"], c["runs"]))
             print(f"  {name}: parent {p['median']:g} -> change {c['median']:g}"
-                  f"  change wins {wins}/{args.pairs}"
+                  f"  change wins {wins}/{PAIRS}"
                   f"  parent q3-q1 {p['q3'] - p['q1']:g}")
         print(f"  failed ops: parent {sum(parent['failed'])}, "
               f"change {sum(change['failed'])}; correct: "

@@ -32,32 +32,37 @@ result metrics with no baseline entry are informational only.  Exit code 0
 when every gate holds, 1 otherwise.
 
 Trajectory mode:
-    check_bench.py --trajectory BENCH_*.json [--benchmark BENCHMARK.json]
+    check_bench.py --trajectory BENCH_*.json
 
 Each BENCH_<pr>.json at the repo root records one change's perfbench
-result: per workload, the median and quartiles of every end-to-end metric
-over its alternating parent/change runs,
+result (tools/bench_pairs.py writes it): per workload, the op counts and
+the median and quartiles of every end-to-end metric over its alternating
+parent/change runs,
 
     {"pr": 16, "workloads": {"churn": {
-        "parent": {"setup_s": {"median": 0.62, "q1": 0.60, "q3": 0.66}},
-        "change": {"setup_s": {"median": 0.33, "q1": 0.31, "q3": 0.35}}}}}
+        "parent": {"attempted": [...], "failed": [...], "correct": true,
+                   "setup_s": {"median": 0.62, "q1": 0.60, "q3": 0.66}},
+        "change": {...}}}}
 
-The files are ordered by PR number, and for every consecutive pair the
-later `change` median of each BENCHMARK.json end-to-end metric is checked
-against the earlier one with that metric's bound (`lower`: fail when
-later > earlier * (1 + bound); `higher`: fail when later < earlier *
-(1 - bound)).  A metric or workload missing from either file of a pair is
-reported and skipped.
+The workloads and the end-to-end metrics with their bounds come from the
+repo's BENCHMARK.json.  Each file fails when it lacks a workload, a side
+or a metric, when its change side is not correct or fails a larger share
+of ops than its parent side, or when a change median is worse than the
+parent median of the same file past the metric's bound (`lower`: fail
+when change > parent * (1 + bound); `higher`: fail when change < parent *
+(1 - bound)).  Then the files are ordered by their "pr" key, and each
+later file's change medians are gated the same way against the earlier
+file's; those runs come from different sessions, so host drift is mixed
+into that step.
 """
 
 import argparse
 import json
 import os
-import re
 import sys
 
-DEFAULT_BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                 os.pardir, "BENCHMARK.json")
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "BENCHMARK.json")
 
 
 def load(path):
@@ -92,59 +97,99 @@ def check_metric(name, spec, result_value, default_tolerance):
 
 
 def pr_number(path, doc):
-    if "pr" in doc:
-        return int(doc["pr"])
-    m = re.search(r"BENCH_(\d+)\.json$", os.path.basename(path))
-    if m is None:
-        sys.exit(f"{path}: no 'pr' key and no PR number in the file name")
-    return int(m.group(1))
+    if "pr" not in doc:
+        sys.exit(f"{path}: no 'pr' key")
+    return int(doc["pr"])
 
 
-def check_trajectory(paths, benchmark_path):
-    """Gates consecutive BENCH_<pr>.json change medians; returns failures."""
-    with open(benchmark_path) as f:
-        bounds = {m["name"]: m for m in json.load(f)["end_to_end"]}
+def within_bound(spec, old, new):
+    bound = float(spec["bound"])
+    if spec["better"] == "lower":
+        return new <= old * (1.0 + bound)
+    return new >= old * (1.0 - bound)
+
+
+def failed_share(side):
+    attempted = sum(side["attempted"])
+    return sum(side["failed"]) / attempted if attempted else 0.0
+
+
+def check_record(doc, workloads, bounds):
+    """Gates one BENCH_<pr>.json on its own; returns the failure count.
+
+    Every workload needs a parent and a change side holding every bounded
+    metric and the op counts; the change side must be correct, fail no
+    larger share of ops than the parent side, and keep every median within
+    its bound of the parent's (both sides ran in one session)."""
+    failures = 0
+    for workload in workloads:
+        sides = doc["workloads"].get(workload, {})
+        parent, change = sides.get("parent"), sides.get("change")
+        if parent is None or change is None:
+            print(f"  {workload}: FAIL (needs a parent and a change side)")
+            failures += 1
+            continue
+        missing = [key for key in ["attempted", "failed", "correct"]
+                   + list(bounds) if key not in parent or key not in change]
+        if missing:
+            print(f"  {workload}: FAIL (missing {', '.join(missing)})")
+            failures += 1
+            continue
+        if not change["correct"]:
+            print(f"  {workload}: FAIL (change side not correct)")
+            failures += 1
+        if failed_share(change) > failed_share(parent):
+            print(f"  {workload}: FAIL (change failed "
+                  f"{sum(change['failed'])} ops, parent "
+                  f"{sum(parent['failed'])})")
+            failures += 1
+        for name, spec in bounds.items():
+            old = float(parent[name]["median"])
+            new = float(change[name]["median"])
+            ok = within_bound(spec, old, new)
+            print(f"  {workload}.{name}: parent {old:g} -> change {new:g} "
+                  f"{'ok' if ok else 'FAIL'}")
+            failures += not ok
+    return failures
+
+
+def check_trajectory(paths):
+    """Gates the BENCH_<pr>.json files; returns the failure count."""
+    with open(BENCHMARK) as f:
+        benchmark = json.load(f)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    bounds = {m["name"]: m for m in benchmark["end_to_end"]}
     runs = []
     for path in paths:
         with open(path) as f:
             doc = json.load(f)
         if "workloads" not in doc:
             sys.exit(f"{path}: no 'workloads' key")
-        runs.append((pr_number(path, doc), path, doc))
+        runs.append((pr_number(path, doc), doc))
     runs.sort(key=lambda r: r[0])
-    if len(runs) < 2:
-        print(f"{len(runs)} trajectory file(s): nothing to compare")
-        return 0
 
     failures = 0
-    for (pr_a, _, a), (pr_b, _, b) in zip(runs, runs[1:]):
-        print(f"PR {pr_a} -> PR {pr_b}")
-        for workload in sorted(set(a["workloads"]) | set(b["workloads"])):
-            if workload not in a["workloads"] or \
-                    workload not in b["workloads"]:
-                print(f"  {workload}: not in both files, skipped")
-                continue
-            before = a["workloads"][workload].get("change", {})
-            after = b["workloads"][workload].get("change", {})
+    for pr, doc in runs:
+        print(f"PR {pr}: change against its own parent")
+        failures += check_record(doc, workloads, bounds)
+    for (pr_a, a), (pr_b, b) in zip(runs, runs[1:]):
+        print(f"PR {pr_a} -> PR {pr_b}: change medians")
+        for workload in workloads:
+            before = a["workloads"].get(workload, {}).get("change", {})
+            after = b["workloads"].get(workload, {}).get("change", {})
             for name, spec in bounds.items():
                 if name not in before or name not in after:
-                    print(f"  {workload}.{name}: not in both files, skipped")
-                    continue
+                    continue  # counted as missing above
                 old = float(before[name]["median"])
                 new = float(after[name]["median"])
-                bound = float(spec["bound"])
-                if spec["better"] == "lower":
-                    ok = new <= old * (1.0 + bound)
-                else:
-                    ok = new >= old * (1.0 - bound)
+                ok = within_bound(spec, old, new)
                 print(f"  {workload}.{name}: {old:g} -> {new:g} "
-                      f"{'ok' if ok else 'FAIL'} [bound {bound:.0%}, "
-                      f"{spec['better']} is better]")
+                      f"{'ok' if ok else 'FAIL'}")
                 failures += not ok
     if failures:
-        print(f"\n{failures} metric(s) worsened past their bound")
+        print(f"\n{failures} trajectory gate(s) failed")
     else:
-        print("\nno metric worsened past its bound")
+        print("\nevery trajectory gate holds")
     return failures
 
 
@@ -158,14 +203,11 @@ def main():
     parser.add_argument("--trajectory", nargs="+", metavar="BENCH_PR.json",
                         help="gate consecutive BENCH_<pr>.json files "
                              "instead of a baseline/result pair")
-    parser.add_argument("--benchmark", default=DEFAULT_BENCHMARK,
-                        help="BENCHMARK.json with the end-to-end bounds "
-                             "(trajectory mode; default: the repo's)")
     args = parser.parse_args()
     if args.trajectory:
         if args.baseline is not None:
             parser.error("--trajectory takes no baseline/result pair")
-        return 1 if check_trajectory(args.trajectory, args.benchmark) else 0
+        return 1 if check_trajectory(args.trajectory) else 0
     if args.result is None:
         parser.error("BASELINE and RESULT are required")
 
