@@ -15,9 +15,10 @@
 // so queries genuinely interleave with repairs (the regime §6.5 assumes).
 //
 // --json additionally gates the metrics registry's hot-path cost: the
-// interval-4 trial runs with recording enabled and disabled (interleaved,
-// min-of-3 each) and reports the wall-time ratio — the ≤5% overhead
-// budget of the observability work.  It also runs the targeted-rootfail
+// interval-4 trial runs in interleaved pairs, recording enabled and
+// disabled, each pair alternating which side runs first, and reports the
+// median of the per-pair wall-time ratios — the ≤5% overhead budget of
+// the observability work.  It also runs the targeted-rootfail
 // scenario (the tapestry_sim --scenario=rootfail preset) and gates its
 // overall and post-failure availability against the baseline.
 #include <chrono>
@@ -136,14 +137,21 @@ int run_json() {
   const Result det = run(4.0, 9002);
   const Result rf = run_rootfail(9003);
 
-  double best_on = 1e300;
-  double best_off = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    best_off = std::min(best_off, timed_trial(false));
-    best_on = std::min(best_on, timed_trial(true));
+  // A pair's two trials run back to back, so host drift mostly cancels
+  // in its ratio; alternating the order cancels what running first or
+  // second costs, and the median ignores a few disturbed pairs.
+  constexpr int kOverheadPairs = 11;
+  Summary ratios;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    const double first = timed_trial(on_first);
+    const double second = timed_trial(!on_first);
+    const double on = on_first ? first : second;
+    const double off = on_first ? second : first;
+    ratios.add(off <= 0.0 ? 1.0 : on / off);
   }
   metrics::set_enabled(true);
-  const double ratio = best_off <= 0.0 ? 1.0 : best_on / best_off;
+  const double ratio = ratios.median();
 
   std::printf("{\"bench\":\"bench_churn\",\"metrics\":{"
               "\"availability_i4\":%.4f,\"availability_post_i4\":%.4f,"

@@ -35,27 +35,22 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
                 std::adjacent_find(bounds_.begin(), bounds_.end()) ==
                     bounds_.end(),
             "histogram bounds must be strictly increasing");
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
+  buckets_ = std::make_unique<CellCount[]>(bounds_.size() + 1);
 }
 
 void Histogram::observe(double x) noexcept {
   if (!enabled()) return;
   std::size_t i = 0;
   while (i < bounds_.size() && x > bounds_[i]) ++i;  // le semantics
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (
-      !sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-  }
+  buckets_[i].add(1);
+  count_.add(1);
+  sum_.add(x);
 }
 
 void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].reset();
+  count_.reset();
+  sum_.reset();
 }
 
 namespace {

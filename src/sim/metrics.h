@@ -9,9 +9,12 @@
 //
 // Design rules:
 //
-//   * Hot-path writes are single relaxed atomic RMWs.  Instrumented
-//     call sites cache a reference (`static Counter& c = ...`), so the
-//     registry map is only consulted once per site per process.
+//   * Hot-path writes carry no lock prefix.  Counters and histograms
+//     count into the calling thread's cell (src/common/thread_cell.h):
+//     a relaxed load plus a relaxed store on a line no other thread
+//     writes; reads sum the cells.  Instrumented call sites cache a
+//     reference (`static Counter& c = ...`), so the registry map is only
+//     consulted once per site per process.
 //   * Registration is centralized: every metric the simulator exports
 //     is created by a named accessor in metrics.cc (the well-known
 //     metrics section below).  tools/check_metrics_doc.py scans that
@@ -44,6 +47,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_cell.h"
+
 namespace tap::metrics {
 
 namespace detail {
@@ -58,20 +63,19 @@ extern std::atomic<bool> g_enabled;
 }
 void set_enabled(bool on) noexcept;
 
-/// Monotonic counter.  inc() is one relaxed fetch_add.
+/// Monotonic counter.  inc() adds into the calling thread's cell;
+/// value() sums the cells.  reset() needs quiescent writers.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
     if (!enabled()) return;
-    v_.fetch_add(n, std::memory_order_relaxed);
+    v_.add(n);
   }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return v_.load(); }
+  void reset() noexcept { v_.reset(); }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  CellCount v_;
 };
 
 /// Last-writer-wins instantaneous value (sampled, not accumulated).
@@ -94,7 +98,8 @@ class Gauge {
 /// Fixed-bucket histogram with Prometheus `le` semantics: observation x
 /// lands in the first bucket with x <= bound; the implicit last bucket
 /// is +Inf.  Bounds are fixed at registration — no resizing, so
-/// observe() is a bucket scan plus two relaxed RMWs.
+/// observe() is a bucket scan plus three adds into the calling thread's
+/// cells (bucket, count, sum).  reset() needs quiescent writers.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -107,21 +112,17 @@ class Histogram {
   /// Raw (non-cumulative) count of bucket i; i == bounds().size() is the
   /// +Inf overflow bucket.
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept {
-    return buckets_[i].load(std::memory_order_relaxed);
+    return buckets_[i].load();
   }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_.load(); }
+  [[nodiscard]] double sum() const noexcept { return sum_.load(); }
   void reset() noexcept;
 
  private:
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::unique_ptr<CellCount[]> buckets_;  // bounds+1 slots
+  CellCount count_;
+  ThreadCells<double> sum_;
 };
 
 /// One label pair; series are keyed by name + sorted label set.

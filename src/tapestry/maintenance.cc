@@ -228,9 +228,18 @@ void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
   const unsigned radix = params_.id.radix();
 
   // Pass 1: heartbeat probes.  Each node pings its table members; a failed
-  // ping triggers the same lazy repair a failed routing step would.
+  // ping triggers the same lazy repair a failed routing step would.  One
+  // probe and one ack are re-addressed per member and delivered in place.
+  Message probe;
+  probe.kind = MessageKind::kHeartbeatProbe;
+  Message ack;
+  ack.kind = MessageKind::kHeartbeatAck;
+  ack.flag = true;  // alive
   for (const auto& n : reg_.nodes()) {
     if (!n->alive) continue;
+    probe.src = n->id();
+    ack.dst = n->id();
+    ack.target = n->id();
     bool again = true;
     while (again) {
       again = false;
@@ -240,18 +249,17 @@ void MaintenanceEngine::heartbeat_sweep(Trace* trace) {
             if (e.id == n->id()) continue;
             const TapestryNode* other = reg_.find(e.id);
             TAP_ASSERT(other != nullptr);
-            (void)transport_->deliver(make_message(
-                MessageKind::kHeartbeatProbe, n->id(), e.id, e.id));
+            probe.dst = e.id;
+            probe.target = e.id;
+            transport_->deliver(probe);
             reg_.acct(trace, *n, *other, 1);  // heartbeat probe
             if (!other->alive) {
               purge_dead_neighbor(*n, e.id, trace);
               again = true;  // iterators invalidated; rescan this node
               break;
             }
-            Message ack = make_message(MessageKind::kHeartbeatAck, e.id,
-                                       n->id(), n->id());
-            ack.flag = true;  // alive
-            (void)transport_->deliver(ack);
+            ack.src = e.id;
+            transport_->deliver(ack);
           }
         }
       }

@@ -94,12 +94,12 @@ MulticastStats Router::multicast(NodeId start, const Id& pattern,
         Message fwd = make_message(MessageKind::kMulticastForward, cur.id(),
                                    c.id(), pattern);
         fwd.level = l + 1;
-        fwd = transport_->deliver(fwd);
+        transport_->deliver(fwd);
         completion = std::max(completion, d + mc(c, fwd.level) + d);
         Message ack = make_message(MessageKind::kMulticastAck, c.id(),
                                    cur.id(), pattern);
         ack.level = l + 1;
-        (void)transport_->deliver(ack);
+        transport_->deliver(ack);
       }
     }
     return completion;

@@ -210,7 +210,7 @@ PointerRecord ObjectDirectory::send_deposit(const NodeId& to,
   m.level = rec.level;
   m.flag = rec.past_hole;
   m.expires_at = rec.expires_at;
-  m = transport_->deliver(m);
+  transport_->deliver(m);
   return PointerRecord{m.server, m.last_hop, m.level, m.flag, m.expires_at};
 }
 
@@ -458,7 +458,7 @@ void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
     Message m = make_message(MessageKind::kUnpublish, cur->id(), nxt.id(),
                              salted);
     m.server = victim;
-    m = transport_->deliver(m);
+    transport_->deliver(m);
     reg_.acct(trace, *cur, nxt);
     victim = m.server;
     cur = &nxt;
@@ -623,11 +623,11 @@ ObjectDirectory::Next<ObjectDirectory::LocateOp> ObjectDirectory::resolve(
     const Guid& via) {
   op.res.pointer_node = holder.id();
   // The pointer hit travels as a message naming the replica; the final
-  // leg routes toward the server the delivered copy names.
+  // leg routes toward the server the delivered message names.
   Message found = make_message(MessageKind::kLocateFound, holder.id(),
                                rec.server, via);
   found.server = rec.server;
-  found = transport_->deliver(found);
+  transport_->deliver(found);
   op.res.server = found.server;
   cache_fill_path(op.base, op.path, via, holder.id(), rec);
   if (found.server == holder.id()) {  // the pointer holder is the replica
@@ -707,7 +707,7 @@ ObjectDirectory::locate_step(LocateOp& op) {
                                op.target);
     hop.level = op.state.level;
     hop.flag = op.state.past_hole;
-    hop = transport_->deliver(hop);
+    transport_->deliver(hop);
     op.state.level = hop.level;
     op.state.past_hole = hop.flag;
     reg_.acct(op.t, cur, nxt);
@@ -1066,7 +1066,7 @@ void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
     m.level = state.level;
     m.flag = state.past_hole;
     m.expires_at = record.expires_at;
-    m = transport_->deliver(m);
+    transport_->deliver(m);
     reg_.acct(trace, *prev, v);
     const auto existing = v.store().find(guid, record.server);
     const std::optional<NodeId> old_sender =
@@ -1128,7 +1128,7 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
     // pre-seam code charged.
     Message m = make_message(MessageKind::kDeleteBackward, sender, id, guid);
     m.server = victim;
-    m = transport_->deliver(m);
+    transport_->deliver(m);
     victim = m.server;
     if (prev != nullptr) reg_.acct(trace, *prev, *w);
     w->store().remove(guid, victim);

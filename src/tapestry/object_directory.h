@@ -294,7 +294,8 @@ class ObjectDirectory {
   /// and consume delivered Messages at their call sites instead.
   void wire(MessageKind kind, const NodeId& src, const NodeId& dst,
             const Id& target) {
-    (void)transport_->deliver(make_message(kind, src, dst, target));
+    Message m = make_message(kind, src, dst, target);
+    transport_->deliver(m);
   }
 
   NodeRegistry& reg_;

@@ -95,14 +95,14 @@ std::size_t QuorumReplicator::mirror_publish(const TapestryNode& root,
     w.level = rec.level;
     w.flag = rec.past_hole;
     w.expires_at = rec.expires_at;
-    w = transport_->deliver(w);
+    transport_->deliver(w);
     reg_.acct(trace, root, *node, 2);  // mirrored write + its ack
     store->replica_upsert(target, PointerRecord{w.server, w.last_hop, w.level,
                                                 w.flag, w.expires_at});
     Message ack =
         make_message(MessageKind::kReplicaWriteAck, h, root.id(), target);
     ack.flag = true;
-    (void)transport_->deliver(ack);
+    transport_->deliver(ack);
     metrics::replica_writes_total().inc();
     ++stats_.replica_writes;
     ++acks;
@@ -124,7 +124,7 @@ void QuorumReplicator::mirror_remove(const TapestryNode& root,
     Message m =
         make_message(MessageKind::kReplicaRemove, root.id(), h, target);
     m.server = server;
-    m = transport_->deliver(m);
+    transport_->deliver(m);
     reg_.acct(trace, root, *node, 2);
     store->replica_remove(target, m.server);
   }
@@ -154,13 +154,14 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
     if (!reg_.reachable(root.id(), h)) continue;
     ReplicatedStore* store = replica_store_of(h);
     if (store == nullptr) continue;
-    (void)transport_->deliver(
-        make_message(MessageKind::kReplicaRead, root.id(), h, target));
+    Message read =
+        make_message(MessageKind::kReplicaRead, root.id(), h, target);
+    transport_->deliver(read);
     reg_.acct(trace, root, *node, 2);  // read request + reply
     Message reply =
         make_message(MessageKind::kReplicaReadReply, h, root.id(), target);
     reply.records = store->replica_all(target);
-    reply = transport_->deliver(reply);
+    transport_->deliver(reply);
     responders.push_back(Responder{node, store, std::move(reply.records)});
   }
 
@@ -191,7 +192,7 @@ std::vector<PointerRecord> QuorumReplicator::quorum_read(
       w.level = rec.level;
       w.flag = rec.past_hole;
       w.expires_at = rec.expires_at;
-      w = transport_->deliver(w);
+      transport_->deliver(w);
       reg_.acct(trace, root, *r.node, 1);
       r.store->replica_upsert(target, PointerRecord{w.server, w.last_hop,
                                                     w.level, w.flag,

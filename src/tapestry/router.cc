@@ -174,8 +174,9 @@ std::optional<NodeId> Router::live_primary_repair(TapestryNode& at,
     if (p->alive) return prim;
     // Dead primary: the probe that discovered it cost one (unanswered)
     // message; then repair.
-    (void)transport_->deliver(
-        make_message(MessageKind::kHeartbeatProbe, at.id(), *prim, *prim));
+    Message probe =
+        make_message(MessageKind::kHeartbeatProbe, at.id(), *prim, *prim);
+    transport_->deliver(probe);
     reg_.acct(trace, at, *p, 1);
     TAP_ASSERT_MSG(repair_ != nullptr, "router has no repair handler bound");
     repair_->purge_dead_neighbor(at, *prim, trace);
@@ -296,13 +297,13 @@ RouteResult Router::route_to_root(NodeId from, const Id& target,
       return res;
     }
     TapestryNode& nxt = reg_.live(*next);
-    // The hop itself is a wire message; continue from the delivered copy
-    // (identical for the direct transport, decoded bytes for loopback).
+    // The hop itself is a wire message; continue from it as delivered
+    // (untouched by the direct transport, decoded bytes for loopback).
     Message hop = make_message(MessageKind::kRouteHop, cur->id(), nxt.id(),
                                target);
     hop.level = state.level;
     hop.flag = state.past_hole;
-    hop = transport_->deliver(hop);
+    transport_->deliver(hop);
     reg_.acct(trace, *cur, nxt);
     res.latency += reg_.dist(*cur, nxt);
     ++res.hops;
@@ -339,7 +340,7 @@ RouteResult Router::walk_to_root_peek(NodeId from, const Id& target,
                                target);
     hop.level = state.level;
     hop.flag = state.past_hole;
-    hop = transport_->deliver(hop);
+    transport_->deliver(hop);
     reg_.acct(trace, *cur, nxt);
     res.latency += reg_.dist(*cur, nxt);
     ++res.hops;

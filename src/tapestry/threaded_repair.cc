@@ -170,22 +170,28 @@ bool ThreadedRepairDriver::sweep_node(TapestryNode& n, Trace* trace) {
   std::vector<NodeId> corpses;
   {
     NodeLockTable::Guard g(locks_, n.id());
+    // One probe and one ack, re-addressed per member and delivered in
+    // place.
+    Message probe =
+        make_message(MessageKind::kHeartbeatProbe, n.id(), n.id(), n.id());
+    Message ack =
+        make_message(MessageKind::kHeartbeatAck, n.id(), n.id(), n.id());
+    ack.flag = true;  // alive
     for (unsigned l = 0; l < digits; ++l) {
       for (unsigned j = 0; j < radix; ++j) {
         for (const auto& e : n.table().at(l, j).entries()) {
           if (e.id == n.id()) continue;
           const TapestryNode* other = reg_.find(e.id);
           TAP_ASSERT(other != nullptr);
-          (void)router_.transport().deliver(make_message(
-              MessageKind::kHeartbeatProbe, n.id(), e.id, e.id));
+          probe.dst = e.id;
+          probe.target = e.id;
+          router_.transport().deliver(probe);
           reg_.acct(trace, n, *other, 1);  // heartbeat probe
           if (!other->alive) {
             corpses.push_back(e.id);
           } else {
-            Message ack = make_message(MessageKind::kHeartbeatAck, e.id,
-                                       n.id(), n.id());
-            ack.flag = true;  // alive
-            (void)router_.transport().deliver(ack);
+            ack.src = e.id;
+            router_.transport().deliver(ack);
           }
         }
       }

@@ -1,42 +1,31 @@
 #include "src/tapestry/transport.h"
 
-#include <deque>
-#include <utility>
-#include <vector>
-
 #include "src/common/assert.h"
 #include "src/sim/metrics.h"
 
 namespace tap {
 
 void Transport::count(const Message& m, std::uint64_t wire_bytes) {
-  stats_.messages.fetch_add(1, std::memory_order_relaxed);
-  stats_.per_kind[static_cast<std::size_t>(m.kind)].fetch_add(
-      1, std::memory_order_relaxed);
+  stats_.messages.add(1);
+  stats_.per_kind[static_cast<std::size_t>(m.kind)].add(1);
   metrics::transport_messages_total().inc();
   if (wire_bytes != 0) {
-    stats_.bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+    stats_.bytes.add(wire_bytes);
     metrics::transport_bytes_total().inc(wire_bytes);
   }
 }
 
-Message DirectTransport::deliver(const Message& m) {
-  count(m, 0);
-  return m;
-}
+void DirectTransport::deliver(Message& m) { count(m, 0); }
 
-Message LoopbackTransport::deliver(const Message& m) {
-  // One inbox per thread: a synchronous delivery completes on the calling
-  // thread (like today's direct calls), and concurrent batch/repair
-  // threads never contend on a shared queue.  The queue still exercises
-  // the enqueue/dequeue discipline a socket transport will need.
-  thread_local std::deque<std::vector<std::uint8_t>> inbox;
-  Datagram dg = encode(m);
-  count(m, dg.size());
-  inbox.push_back(dg.release());
-  const std::vector<std::uint8_t> frame = std::move(inbox.front());
-  inbox.pop_front();
-  return decode(frame);
+void LoopbackTransport::deliver(Message& m) {
+  // One frame buffer per thread, reused: a synchronous delivery completes
+  // on the calling thread (like today's direct calls), so concurrent
+  // batch/repair threads never share a buffer.
+  thread_local Datagram frame;
+  frame.clear();
+  encode(m, frame);
+  count(m, frame.size());
+  decode(frame.data(), frame.size(), m);
 }
 
 Transport* default_transport() {

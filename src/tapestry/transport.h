@@ -6,66 +6,67 @@
 // replica RPCs) never hand each other raw references across a node
 // boundary any more: the sender packs the cross-node payload into a
 // Message, passes it through the overlay's Transport, and continues
-// from the *returned* message's fields.  Cost accounting
-// (NodeRegistry::acct) is unchanged — the transport decides only how
-// the payload travels, not what it costs in the paper's model.
+// from the message as delivered: deliver(m) leaves in `m` what the
+// receiver observed.  Cost accounting (NodeRegistry::acct) is unchanged
+// — the transport decides only how the payload travels, not what it
+// costs in the paper's model.
 //
 // Two implementations, selected by TapestryParams::transport /
 // `--transport=` (docs/transport.md):
 //
-//   DirectTransport    returns the message untouched — zero
-//                      serialization, byte-identical to the
-//                      pre-transport build on same-seed runs;
-//   LoopbackTransport  encodes the message to Datagram bytes, enqueues
-//                      it on the receiving side's inbox, pops and
-//                      decodes it, and returns the decoded copy — the
-//                      full serialize/queue/parse path of a real wire
-//                      in one process.  Because the wire format is
-//                      lossless, results are identical to direct; the
-//                      existing conformance/churn/scenario matrix run
-//                      under TAP_TRANSPORT=loopback is the proof.
+//   DirectTransport    only counts the message — zero serialization,
+//                      byte-identical to the pre-transport build on
+//                      same-seed runs;
+//   LoopbackTransport  encodes the message into a frame, then decodes
+//                      the frame back into it — the full serialize/parse
+//                      path of a real wire in one process.  Because the
+//                      wire format is lossless, results are identical to
+//                      direct; the existing conformance/churn/scenario
+//                      matrix run under TAP_TRANSPORT=loopback is the
+//                      proof.
 //
 // A socket transport for multi-process overlays slots in behind the
 // same interface without touching protocol code (ROADMAP).
 //
 // Thread-safety: deliver() is called concurrently from batch publish
-// walks and threaded repair waves.  Stats use relaxed atomics; the
-// loopback inbox is thread-local (each simulated delivery completes on
-// the calling thread, as today's synchronous calls do).
+// walks and threaded repair waves.  Stats count into per-thread cells
+// (src/common/thread_cell.h), and the loopback frame buffer is
+// thread-local (each simulated delivery completes on the calling
+// thread, as today's synchronous calls do).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
+#include "src/common/thread_cell.h"
 #include "src/tapestry/params.h"
 #include "src/tapestry/wire.h"
 
 namespace tap {
 
 /// Lifetime message/byte tallies of one transport instance, per message
-/// kind.  Written with relaxed atomics on the delivery path.
+/// kind.  Each delivery counts into the calling thread's cells; a read
+/// (load() or the implicit conversion) sums them.
 struct TransportStats {
-  std::atomic<std::uint64_t> messages{0};  ///< deliver() calls completed
-  std::atomic<std::uint64_t> bytes{0};     ///< wire bytes encoded (0: direct)
-  std::array<std::atomic<std::uint64_t>, kWireKindCount> per_kind{};
+  CellCount messages;  ///< deliver() calls completed
+  CellCount bytes;     ///< wire bytes encoded (0: direct)
+  std::array<CellCount, kWireKindCount> per_kind;
 
   [[nodiscard]] std::uint64_t kind_count(MessageKind k) const {
-    return per_kind[static_cast<std::size_t>(k)].load(
-        std::memory_order_relaxed);
+    return per_kind[static_cast<std::size_t>(k)].load();
   }
 };
 
-/// Abstract wire layer.  deliver() moves one message from m.src to
-/// m.dst and returns the message as the receiver observed it; callers
-/// must continue from the returned copy (for a serializing transport
-/// that is the decoded datagram, not the original object).
+/// Abstract wire layer.  deliver(m) moves one message from m.src to
+/// m.dst; on return `m` is what the receiver observed, and callers
+/// continue from it (for a serializing transport that is the decoded
+/// frame, not the fields the sender wrote).
 class Transport {
  public:
   virtual ~Transport() = default;
   [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual Message deliver(const Message& m) = 0;
+  virtual void deliver(Message& m) = 0;
   [[nodiscard]] const TransportStats& stats() const { return stats_; }
 
  protected:
@@ -75,21 +76,21 @@ class Transport {
 };
 
 /// Today's calls: the message is handed to the receiver by reference,
-/// untouched.  Keeps every same-seed run byte-identical to the
-/// pre-transport build.
+/// untouched; deliver() only counts it.  Keeps every same-seed run
+/// byte-identical to the pre-transport build.
 class DirectTransport final : public Transport {
  public:
   [[nodiscard]] const char* name() const override { return "direct"; }
-  [[nodiscard]] Message deliver(const Message& m) override;
+  void deliver(Message& m) override;
 };
 
-/// A real wire boundary inside one process: encode → enqueue on the
-/// destination inbox → dequeue → bounds-checked decode → dispatch the
-/// decoded copy.  Lossless, so semantics match DirectTransport exactly.
+/// A real wire boundary inside one process: encode into the thread's
+/// frame buffer → bounds-checked decode back into the message.  Lossless,
+/// so semantics match DirectTransport exactly.
 class LoopbackTransport final : public Transport {
  public:
   [[nodiscard]] const char* name() const override { return "loopback"; }
-  [[nodiscard]] Message deliver(const Message& m) override;
+  void deliver(Message& m) override;
 };
 
 /// Shared process-wide DirectTransport: the fallback every layer binds

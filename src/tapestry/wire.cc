@@ -87,10 +87,15 @@ bool Message::operator==(const Message& o) const {
 }
 
 Datagram encode(const Message& m) {
+  Datagram dg;
+  encode(m, dg);
+  return dg;
+}
+
+void encode(const Message& m, Datagram& dg) {
   // All endpoint and payload ids of one message share the overlay's
   // IdSpec; src is the canonical carrier (every message has a sender).
   const IdSpec spec = m.src.valid() ? m.src.spec() : m.target.spec();
-  Datagram dg;
   dg.add_u8(static_cast<std::uint8_t>(m.kind));
   dg.add_u8(static_cast<std::uint8_t>(spec.digit_bits));
   dg.add_u8(static_cast<std::uint8_t>(spec.num_digits));
@@ -133,16 +138,28 @@ Datagram encode(const Message& m) {
                              rec.past_hole, rec.expires_at);
       break;
   }
-  return dg;
 }
 
 Message decode(const std::uint8_t* data, std::size_t size) {
+  Message m;
+  decode(data, size, m);
+  return m;
+}
+
+void decode(const std::uint8_t* data, std::size_t size, Message& m) {
   DatagramIterator it(data, size);
   const std::uint8_t raw_kind = it.get_u8();
   if (raw_kind >= kWireKindCount)
     throw WireError("unknown message kind " + std::to_string(raw_kind));
-  Message m;
+  // Fields the kind does not encode read as their defaults, exactly as in
+  // a freshly decoded Message; `records` keeps its capacity.
   m.kind = static_cast<MessageKind>(raw_kind);
+  m.server = NodeId{};
+  m.last_hop.reset();
+  m.level = 0;
+  m.flag = false;
+  m.expires_at = 0.0;
+  m.records.clear();
   IdSpec spec;
   spec.digit_bits = it.get_u8();
   spec.num_digits = it.get_u8();
@@ -198,7 +215,6 @@ Message decode(const std::uint8_t* data, std::size_t size) {
     }
   }
   it.expect_exhausted();
-  return m;
 }
 
 }  // namespace tap

@@ -127,6 +127,8 @@ class Datagram {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   /// Moves the underlying buffer out (the datagram is empty afterwards).
   [[nodiscard]] std::vector<std::uint8_t> release() { return std::move(buf_); }
+  /// Empties the datagram and keeps its capacity for the next frame.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -196,10 +198,15 @@ class DatagramIterator {
 /// header [u8 kind][u8 digit_bits][u8 num_digits][u64 src][u64 dst]
 /// [u64 target], then the kind-specific payload.
 [[nodiscard]] Datagram encode(const Message& m);
+/// Appends the same bytes to `dg` (a reused frame buffer).
+void encode(const Message& m, Datagram& dg);
 
 /// Parses wire bytes back into a Message.  Throws WireError on any
 /// malformed input; never exhibits UB on adversarial bytes.
 [[nodiscard]] Message decode(const std::uint8_t* data, std::size_t size);
+/// Parses into `out`, reusing its storage; on return `out` equals what
+/// the returning overload yields.  After a WireError `out` is unspecified.
+void decode(const std::uint8_t* data, std::size_t size, Message& out);
 [[nodiscard]] inline Message decode(const Datagram& dg) {
   return decode(dg.data(), dg.size());
 }

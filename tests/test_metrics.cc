@@ -9,10 +9,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/thread_cell.h"
 #include "src/sim/metrics.h"
 
 namespace tap::metrics {
@@ -56,6 +60,80 @@ TEST(Metrics, ConcurrentHistogramObservationsAreExact) {
   EXPECT_EQ(h.count(), total);
   EXPECT_EQ(h.bucket_count(2), total);  // 2 < 3.0 <= 4
   EXPECT_DOUBLE_EQ(h.sum(), 3.0 * static_cast<double>(total));
+}
+
+// More threads than owned cells, alive at once: the late ones share the
+// atomic overflow cell, and every add still lands exactly once.
+TEST(Metrics, CounterIsExactWithMoreLiveThreadsThanCells) {
+  Counter& c = registry().counter("test_cell_overflow_counter",
+                                  "overflow-cell exactness probe");
+  c.reset();
+  constexpr std::size_t kThreads = 2 * kThreadCells;
+  constexpr int kPerThread = 2'000;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::size_t overflowed = 0;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&] {
+      c.inc();  // claims this thread's cell while every thread is alive
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      if (thread_cell() == kOverflowCell) ++overflowed;
+      cv.notify_all();
+      cv.wait(lock, [&] { return arrived == kThreads; });
+      lock.unlock();
+      for (int i = 1; i < kPerThread; ++i) c.inc();
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_GE(overflowed, kThreads - kThreadCells);
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+// More threads than cells, one after another: each exiting thread hands
+// its cell back with the counts still in it, and the next owner adds on
+// top.
+TEST(Metrics, CounterKeepsCountsAcrossCellReuse) {
+  Counter& c = registry().counter("test_cell_reuse_counter",
+                                  "cell-reuse exactness probe");
+  c.reset();
+  constexpr std::size_t kThreads = 2 * kThreadCells;
+  constexpr int kPerThread = 1'000;
+  std::size_t cell_seen_max = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::size_t cell = 0;
+    std::thread([&] {
+      for (int i = 0; i < kPerThread; ++i) c.inc();
+      cell = thread_cell();
+    }).join();
+    cell_seen_max = std::max(cell_seen_max, cell);
+    EXPECT_EQ(c.value(), (t + 1) * kPerThread);
+  }
+  // Sequential threads reuse freed cells instead of spilling over.
+  EXPECT_LT(cell_seen_max, kOverflowCell);
+}
+
+TEST(Metrics, HistogramCountSumAndBucketsAreExactUnderFourThreads) {
+  Histogram& h = registry().histogram(
+      "test_cell_hist", "per-thread histogram exactness probe", {1, 2, 3});
+  h.reset();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3'000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&h, t] {
+      // Thread t observes t + 0.5, landing in bucket t (the last one is
+      // +Inf).
+      for (int i = 0; i < kPerThread; ++i) h.observe(t + 0.5);
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  for (std::size_t b = 0; b < 4; ++b)
+    EXPECT_EQ(h.bucket_count(b), static_cast<std::uint64_t>(kPerThread))
+        << "bucket " << b;
+  // Halves and small integers add exactly in doubles, in any order.
+  EXPECT_EQ(h.sum(), kPerThread * (0.5 + 1.5 + 2.5 + 3.5));
 }
 
 TEST(Metrics, HistogramBucketEdgesUseLeSemantics) {

@@ -13,6 +13,7 @@
 
 #include "src/common/assert.h"
 #include "src/common/rng.h"
+#include "src/sim/thread_pool.h"
 #include "src/tapestry/replicated_store.h"
 #include "src/tapestry/transport.h"
 #include "src/tapestry/wire.h"
@@ -266,7 +267,8 @@ TEST(Transport, DirectDeliversUntouchedAndCounts) {
   DirectTransport t;
   Rng rng(8);
   const Message m = rand_message(MessageKind::kPublishDeposit, rng);
-  const Message out = t.deliver(m);
+  Message out = m;
+  t.deliver(out);
   EXPECT_TRUE(out == m);
   EXPECT_EQ(t.stats().messages.load(), 1u);
   EXPECT_EQ(t.stats().bytes.load(), 0u);  // nothing serialized
@@ -280,12 +282,87 @@ TEST(Transport, LoopbackRoundTripsThroughBytes) {
   for (std::size_t k = 0; k < kWireKindCount; ++k) {
     const Message m = rand_message(static_cast<MessageKind>(k), rng);
     expect_bytes += encode(m).size();
-    const Message out = t.deliver(m);
+    Message out = m;
+    t.deliver(out);
     EXPECT_TRUE(out == m) << message_kind_name(m.kind);
     EXPECT_EQ(t.stats().kind_count(m.kind), 1u);
   }
   EXPECT_EQ(t.stats().messages.load(), kWireKindCount);
   EXPECT_EQ(t.stats().bytes.load(), expect_bytes);  // every frame encoded
+}
+
+// In-place delivery on both transports, reusing one Message for every
+// kind (as the heartbeat sweep does): each delivery leaves exactly the
+// message that was sent, whatever the previous kind left behind.
+TEST(Transport, InPlaceDeliveryLeavesTheOriginalOnBothTransports) {
+  DirectTransport direct;
+  LoopbackTransport loop;
+  Rng rng(10);
+  Message reused_direct;
+  Message reused_loop;
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t k = 0; k < kWireKindCount; ++k) {
+      const Message m = rand_message(static_cast<MessageKind>(k), rng);
+      reused_direct = m;
+      direct.deliver(reused_direct);
+      EXPECT_TRUE(reused_direct == m) << message_kind_name(m.kind);
+      reused_loop = m;
+      loop.deliver(reused_loop);
+      EXPECT_TRUE(reused_loop == m) << message_kind_name(m.kind);
+    }
+  }
+}
+
+// Decoding into a used Message resets the fields the kind does not carry,
+// so it equals a fresh decode.
+TEST(Transport, DecodeIntoUsedMessageEqualsFreshDecode) {
+  Rng rng(11);
+  Message dirty = rand_message(MessageKind::kReplicaReadReply, rng);
+  dirty.level = 7;
+  dirty.flag = true;
+  dirty.expires_at = 3.5;
+  dirty.server = rand_id(rng);
+  dirty.last_hop = rand_id(rng);
+  for (std::size_t k = 0; k < kWireKindCount; ++k) {
+    const Message m = rand_message(static_cast<MessageKind>(k), rng);
+    const Datagram dg = encode(m);
+    Message into = dirty;
+    decode(dg.data(), dg.size(), into);
+    EXPECT_TRUE(into == decode(dg)) << message_kind_name(m.kind);
+  }
+}
+
+// Stats count into per-thread cells; concurrent deliveries from a
+// 4-worker parallel_for must still sum exactly, per kind and in bytes.
+TEST(Transport, StatsAreExactUnderFourWorkers) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kPerKind = 500;
+  Rng rng(12);
+  std::vector<Message> corpus;
+  std::uint64_t corpus_bytes = 0;
+  for (std::size_t k = 0; k < kWireKindCount; ++k) {
+    corpus.push_back(rand_message(static_cast<MessageKind>(k), rng));
+    corpus_bytes += encode(corpus.back()).size();
+  }
+  DirectTransport direct;
+  LoopbackTransport loop;
+  for (Transport* t : {static_cast<Transport*>(&direct),
+                       static_cast<Transport*>(&loop)}) {
+    parallel_for(
+        kPerKind * kWireKindCount,
+        [&](std::size_t i) {
+          Message m = corpus[i % kWireKindCount];
+          t->deliver(m);
+        },
+        kWorkers);
+    for (std::size_t k = 0; k < kWireKindCount; ++k)
+      EXPECT_EQ(t->stats().kind_count(static_cast<MessageKind>(k)), kPerKind)
+          << t->name() << " " << message_kind_name(corpus[k].kind);
+    EXPECT_EQ(t->stats().messages.load(), kPerKind * kWireKindCount)
+        << t->name();
+  }
+  EXPECT_EQ(direct.stats().bytes.load(), 0u);
+  EXPECT_EQ(loop.stats().bytes.load(), kPerKind * corpus_bytes);
 }
 
 // ---------------------------------------------------------------------

@@ -1017,11 +1017,13 @@ int main(int argc, char** argv) {
   };
   std::vector<Obj> objects;
   Trace publish_trace;
+  // Membership is fixed while objects are published and while queries
+  // run, so each loop copies the member list once.
+  const auto publish_ids = net.node_ids();
   for (std::size_t i = 0; i < o.objects; ++i) {
     Obj obj{make_guid(net, i), {}};
-    const auto ids = net.node_ids();
     for (unsigned r = 0; r < o.replicas; ++r) {
-      const NodeId server = ids[wl.next_u64(ids.size())];
+      const NodeId server = publish_ids[wl.next_u64(publish_ids.size())];
       net.publish(server, obj.guid, &publish_trace);
       obj.servers.push_back(server);
     }
@@ -1062,10 +1064,10 @@ int main(int argc, char** argv) {
   Summary stretch, hops, latency;
   std::size_t found = 0;
   Trace query_trace;
+  const auto query_ids = net.node_ids();
   for (std::size_t q = 0; q < o.queries; ++q) {
     const Obj& obj = objects[wl.next_u64(objects.size())];
-    const auto ids = net.node_ids();
-    const NodeId client = ids[wl.next_u64(ids.size())];
+    const NodeId client = query_ids[wl.next_u64(query_ids.size())];
     const LocateResult r = net.locate(client, obj.guid, &query_trace);
     if (!r.found) continue;
     ++found;
