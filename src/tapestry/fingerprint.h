@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -81,18 +82,22 @@ class Fnv1a {
   return h.value();
 }
 
-/// Every live node's object pointers: (guid, server, last_hop) triples in
-/// store iteration order.
+/// Every live node's object pointers: (guid, server, last_hop) triples
+/// sorted per node, so the value does not depend on the store backend's
+/// iteration order (MemoryStore iterates a hash map).
 [[nodiscard]] inline std::uint64_t fingerprint_stores(const Network& net) {
   detail::Fnv1a h;
   for (const auto& n : net.registry().nodes()) {
     if (!n->alive) continue;
     h.mix(n->id().value());
-    for (const auto& [guid, rec] : n->store().snapshot()) {
-      h.mix(guid.value());
-      h.mix(rec.server.value());
-      h.mix(rec.last_hop.has_value() ? rec.last_hop->value() + 1 : 0);
-    }
+    std::vector<std::array<std::uint64_t, 3>> records;
+    for (const auto& [guid, rec] : n->store().snapshot())
+      records.push_back(
+          {guid.value(), rec.server.value(),
+           rec.last_hop.has_value() ? rec.last_hop->value() + 1 : 0});
+    std::sort(records.begin(), records.end());
+    for (const auto& r : records)
+      for (const std::uint64_t v : r) h.mix(v);
   }
   return h.value();
 }

@@ -398,13 +398,13 @@ TEST(ThreadedRepair, MembershipStepsKeepPinnedOutputs) {
   got.push_back(observe(*wave.net, 0));
 
   const std::vector<StepOutput> want = {
-      {776u, 5822400657062616497ull, 14402640940877895600ull},
-      {13015u, 7485316115547238187ull, 9614133797766009052ull},
-      {1619u, 5323778958982670058ull, 10788480928525166367ull},
-      {17168u, 5822400657062616497ull, 14402640940877895600ull},
-      {15900u, 13130865350153151514ull, 15581092207174655615ull},
-      {31004u, 7485316115547238187ull, 9614133797766009052ull},
-      {0u, 5323778958982670058ull, 10611519192796549106ull},
+      {776u, 5822400657062616497ull, 15467353995642766478ull},
+      {13015u, 7485316115547238187ull, 184655161785128174ull},
+      {1619u, 5323778958982670058ull, 11425488104067348449ull},
+      {17168u, 5822400657062616497ull, 15467353995642766478ull},
+      {15900u, 13130865350153151514ull, 2698703547980523745ull},
+      {31004u, 7485316115547238187ull, 184655161785128174ull},
+      {0u, 5323778958982670058ull, 4197045737206079020ull},
   };
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i)
