@@ -425,6 +425,13 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
       },
       workers);
 
+  // Phase 3 (serial, task order): each path's root mirrors the record it
+  // holds to its replica holders, as publish_step does on arrival there.
+  if (replicator_)
+    for (std::size_t t = 0; t < n_tasks; ++t)
+      replicator_->mirror_publish(*deposits[t].back().at, tasks[t].target,
+                                  deposits[t].back().rec, &task_traces[t]);
+
   // Accounting lands in task order, independent of phase scheduling.
   if (trace != nullptr)
     for (const Trace& t : task_traces) trace->absorb(t);
