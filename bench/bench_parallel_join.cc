@@ -70,8 +70,8 @@ WaveResult run_wave(const MetricSpace& space, const TapestryParams& params,
   net.insert_static_bulk(locs, workers == 0 ? 1 : workers);
   net.rebuild_static_tables(workers == 0 ? 1 : workers);
 
-  ThreadedJoinDriver driver(net.maintenance(), net.registry(), net.router(),
-                            net.params(), net.rng());
+  ThreadedJoinDriver driver(net.maintenance(), net.registry(), net.params(),
+                            net.rng());
   const auto t0 = std::chrono::steady_clock::now();
   const auto outcomes = driver.run(wave_requests(core, wave), workers);
   r.wave_ms = wall_ms(t0);

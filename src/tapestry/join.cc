@@ -24,10 +24,11 @@
 // Property 1 deterministically — the k-list only bounds who is *measured*
 // for the recursion, mirroring the role k plays in the paper's analysis.
 //
-// The §4.4 simultaneous-insertion steps (multicast forwarding rule, watch
-// list, pinned pointers) live here too: the event coordinator
+// The §4.4 simultaneous-insertion session steps (surrogate bounce, the
+// multicast FUNCTION with its forwarding rule, watch list and pinned
+// pointers, pin release, finish) live here too: the event coordinator
 // (parallel_join.h) and the threaded driver (threaded_join.h) both call
-// them, the latter with the lock table.
+// them, the latter with the lock table, and keep only their transport.
 #include "src/tapestry/maintenance.h"
 
 #include <algorithm>
@@ -57,20 +58,10 @@ NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
   NodeId nid = id.has_value() ? *id : reg_.fresh_node_id();
   TAP_CHECK(reg_.find(nid) == nullptr, "node id already in use");
 
-  // 1. ACQUIREPRIMARYSURROGATE: route from the gateway toward the new ID;
-  //    the root reached is the surrogate (the node whose ID shares the
-  //    longest existing prefix with ours).
-  const RouteResult rr = router_.route_to_root(gateway, nid, trace);
-  const NodeId surrogate_id = rr.root;
-
-  TapestryNode& nn = reg_.register_node(nid, loc);
-  nn.inserting = true;
-  nn.psurrogate = surrogate_id;
-  TapestryNode& sur = reg_.live(surrogate_id);
-  const unsigned alpha = nid.common_prefix_len(sur.id());
-
-  // 2. GETPRELIMNEIGHBORTABLE: one bulk RPC for the surrogate's table.
-  copy_preliminary_table(nn, sur, alpha, trace);
+  // 1-2. ACQUIREPRIMARYSURROGATE and GETPRELIMNEIGHBORTABLE.
+  const NodeId surrogate_id = begin_insertion(nid, gateway, loc, trace);
+  TapestryNode& nn = reg_.live(nid);
+  const unsigned alpha = nid.common_prefix_len(surrogate_id);
 
   // 3. ACKNOWLEDGEDMULTICAST(α, LINKANDXFERROOT): reach every α-node.  The
   //    new node is excluded from forwarding — it may already appear in
@@ -85,15 +76,65 @@ NodeId MaintenanceEngine::join_via(NodeId gateway, Location loc,
       trace, {nid});
 
   // 4. Build the neighbor table level by level, reusing the multicast
-  //    result as the first (level-α) list.  Pointers transferred to the
-  //    new node during step 3 are re-checked after its table settles.
-  const auto before = dir_.snapshot_pointer_hops(nn);
-  acquire_neighbor_table(nn, alpha, alpha_nodes, trace);
-  dir_.reroute_changed_pointers(nn, before, trace);
+  //    result as the first (level-α) list.
+  finish_insertion(nn, alpha, alpha_nodes, trace);
+  return nid;
+}
 
+NodeId MaintenanceEngine::begin_insertion(NodeId nid, NodeId gateway,
+                                          Location loc, Trace* trace,
+                                          const NodeLockTable* locks) {
+  // 1. ACQUIREPRIMARYSURROGATE: route from the gateway toward the new id
+  //    (under per-hop stripes inside a threaded wave); the root reached is
+  //    the surrogate.  If it is itself mid-insertion the request bounces
+  //    to *its* surrogate — multicasts must start at a core node (§4.4,
+  //    Figure 10).  A bounce target always was core when recorded and core
+  //    status is permanent, so the chain terminates.
+  NodeId sur = locks != nullptr
+                   ? router_.route_to_root_guarded(gateway, nid, trace).root
+                   : router_.route_to_root(gateway, nid, trace).root;
+  for (unsigned guard = 0;; ++guard) {
+    TAP_CHECK(guard < 64, "surrogate bounce chain too long");
+    std::optional<NodeId> bounce;
+    {
+      const auto g = maybe_lock(locks, sur);
+      const TapestryNode& n = reg_.checked(sur);
+      if (n.inserting) {
+        TAP_CHECK(n.psurrogate.has_value(),
+                  "inserting node without a surrogate");
+        bounce = n.psurrogate;
+      }
+    }
+    if (!bounce.has_value()) break;
+    if (trace != nullptr) trace->hop(reg_.distance(sur, *bounce));
+    sur = *bounce;
+  }
+
+  // 2. Register pre-marked as inserting — any thread that finds the node
+  //    in the index already sees the §4.3 transient state — then
+  //    GETPRELIMNEIGHBORTABLE: one bulk RPC for the surrogate's table.
+  TapestryNode& nn = reg_.register_node(nid, loc, /*inserting=*/true, sur);
+  copy_preliminary_table(nn, reg_.checked(sur), nid.common_prefix_len(sur),
+                         trace, locks);
+  return sur;
+}
+
+void MaintenanceEngine::finish_insertion(TapestryNode& nn, unsigned alpha,
+                                         const std::vector<NodeId>& alpha_list,
+                                         Trace* trace,
+                                         const NodeLockTable* locks) {
+  // ACQUIRENEIGHBORTABLE over the α-list (§3, Figure 4).  The descent
+  // rewrites nn's table, so pointers already transferred to it are
+  // re-checked afterwards (§4.2).
+  const auto before = dir_.snapshot_pointer_hops(nn, locks);
+  acquire_neighbor_table(nn, alpha, alpha_list, trace, locks);
+  dir_.reroute_changed_pointers(nn, before, trace, locks);
+
+  // Insertion complete: the §4.3 transient state is cleared under nn's
+  // stripe.
+  const auto g = maybe_lock(locks, nn.id());
   nn.inserting = false;
   nn.psurrogate.reset();
-  return nid;
 }
 
 void MaintenanceEngine::copy_preliminary_table(TapestryNode& nn,
@@ -122,14 +163,15 @@ void MaintenanceEngine::copy_preliminary_table(TapestryNode& nn,
 }
 
 void MaintenanceEngine::link_and_xfer_root(TapestryNode& host,
-                                           TapestryNode& nn, Trace* trace) {
+                                           TapestryNode& nn, Trace* trace,
+                                           const NodeLockTable* locks) {
   if (host.id() == nn.id()) return;
   // Snapshot next hops, update the table, then re-route any pointer whose
   // path changed (this transfers to the new node the pointers it is now
   // root of, and deposits them along the new paths — §4.2).
-  const auto before = dir_.snapshot_pointer_hops(host);
-  add_to_table_if_closer(host, nn);
-  dir_.reroute_changed_pointers(host, before, trace);
+  const auto before = dir_.snapshot_pointer_hops(host, locks);
+  add_to_table_if_closer(host, nn, locks);
+  dir_.reroute_changed_pointers(host, before, trace, locks);
 }
 
 CandidateList closest_candidates(CandidateList list, std::size_t k) {
@@ -194,15 +236,17 @@ void MaintenanceEngine::build_row_from_list(TapestryNode& nn,
 
 CandidateList MaintenanceEngine::get_next_list(
     TapestryNode& nn, const CandidateList& list, unsigned level,
-    std::unordered_set<std::uint64_t>& contacted, Trace* trace) {
-  CandidateList candidates = gather_candidates(nn, list, level, trace);
+    std::unordered_set<std::uint64_t>& contacted, Trace* trace,
+    const NodeLockTable* locks) {
+  CandidateList candidates =
+      gather_candidates(nn, list, level, trace, locks);
   // Measure the distance to every candidate met for the first time; the
   // contacted node simultaneously checks whether the new node belongs in
   // its own table (ADDTOTABLEIFCLOSER, Theorem 4) and fixes pointer paths.
   for (const DescentCandidate& c : candidates) {
     if (contacted.insert(c.id.value()).second) {
       reg_.acct(trace, nn, *c.node, 2);  // distance probe round trip
-      link_and_xfer_root(*c.node, nn, trace);
+      link_and_xfer_root(*c.node, nn, trace, locks);
     }
   }
   return candidates;
@@ -210,7 +254,8 @@ CandidateList MaintenanceEngine::get_next_list(
 
 void MaintenanceEngine::acquire_neighbor_table(
     TapestryNode& nn, unsigned max_level,
-    const std::vector<NodeId>& initial_list, Trace* trace) {
+    const std::vector<NodeId>& initial_list, Trace* trace,
+    const NodeLockTable* locks) {
   const std::size_t k = params_.effective_k(reg_.live_count());
   std::unordered_set<std::uint64_t> contacted;
   for (const NodeId& x : initial_list) contacted.insert(x.value());
@@ -219,12 +264,12 @@ void MaintenanceEngine::acquire_neighbor_table(
   // initial candidate set is complete by construction (linked in visit
   // order).
   CandidateList candidates = measure_candidates(nn, initial_list);
-  build_row_from_list(nn, candidates, max_level);
+  build_row_from_list(nn, candidates, max_level, locks);
   CandidateList list = closest_candidates(std::move(candidates), k);
 
   for (unsigned level = max_level; level-- > 0;) {
-    candidates = get_next_list(nn, list, level, contacted, trace);
-    build_row_from_list(nn, candidates, level);
+    candidates = get_next_list(nn, list, level, contacted, trace, locks);
+    build_row_from_list(nn, candidates, level, locks);
     list = closest_candidates(std::move(candidates), k);
   }
 }
@@ -233,10 +278,16 @@ void MaintenanceEngine::acquire_neighbor_table(
 // Simultaneous insertion (§4.4, Figure 11)
 // ---------------------------------------------------------------------
 
-std::vector<MulticastChild> multicast_children(
-    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
-    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
-    const std::unordered_set<std::uint64_t>& processed) {
+namespace {
+
+// The forwarding targets of the multicast at `at` for session `s`; the
+// caller holds whatever synchronisation reading `at`'s table needs.
+std::vector<MulticastChild> multicast_children(const NodeRegistry& reg,
+                                               const TapestryNode& at,
+                                               const JoinSession& s,
+                                               unsigned prefix_len) {
+  const NodeId& nn = s.nn;
+  const unsigned alpha = s.alpha;
   const NodeId at_id = at.id();
   const unsigned digits = reg.params().id.num_digits;
   const unsigned radix = reg.params().id.radix();
@@ -274,14 +325,75 @@ std::vector<MulticastChild> multicast_children(
   // MULTICASTTOFILLEDHOLE (Figure 11 line 9): if the hole this session
   // fills is already occupied by someone else, forward to them too so
   // conflicting inserters learn of each other (Lemma 5).
-  for (const auto& e : at.table().at(alpha, hole_digit).entries()) {
+  for (const auto& e : at.table().at(alpha, s.hole_digit).entries()) {
     if (e.id == nn || e.id == at_id) continue;
-    if (processed.count(e.id.value()) != 0) continue;
+    if (s.processed.count(e.id.value()) != 0) continue;
     const TapestryNode* m = reg.find(e.id);
     if (m == nullptr || !m->alive) continue;
     children.push_back({e.id, alpha + 1});
   }
   return children;
+}
+
+}  // namespace
+
+WatchList MaintenanceEngine::begin_session(JoinSession& s, NodeId gateway,
+                                           Location loc,
+                                           const NodeLockTable* locks) {
+  s.surrogate = begin_insertion(s.nn, gateway, loc, &s.trace, locks);
+  s.alpha = s.nn.common_prefix_len(s.surrogate);
+  s.hole_digit = s.nn.digit(s.alpha);
+  return watch_list(reg_.checked(s.nn), locks);
+}
+
+std::vector<MulticastChild> MaintenanceEngine::multicast_function(
+    JoinSession& s, TapestryNode& at, unsigned prefix_len, WatchList& watch,
+    const NodeLockTable* locks) {
+  TapestryNode& nn = reg_.checked(s.nn);
+
+  // Watch-list service (Figure 11 line 1, Lemma 6).  Fillers reported to
+  // the inserter change its table, so its pointer paths are re-checked.
+  const auto nn_before = dir_.snapshot_pointer_hops(nn, locks);
+  serve_watch_list(at, nn, watch, s.trace, locks);
+  dir_.reroute_changed_pointers(nn, nn_before, &s.trace, locks);
+
+  // Pin the inserting node into the slot it fills (§4.4, Lemma 4) and
+  // adopt it wherever it improves this node's table (Theorem 4); both
+  // change this node's forward routes, so pointer paths are snapshotted
+  // around the pair (§4.2).
+  const auto at_before = dir_.snapshot_pointer_hops(at, locks);
+  if (s.pinned_at.insert(at.id().value()).second)
+    pin(at, nn, s.alpha, s.hole_digit, locks);
+  add_to_table_if_closer(at, nn, locks);
+  dir_.reroute_changed_pointers(at, at_before, &s.trace, locks);
+
+  // Forwarding targets (Lemmas 4 and 5), read under this node's stripe.
+  std::vector<MulticastChild> children;
+  {
+    const auto g = maybe_lock(locks, at.id());
+    children = multicast_children(reg_, at, s, prefix_len);
+  }
+  // FUNCTION applied: record this node on the α-list exactly once.
+  s.visited.push_back(at.id());
+  return children;
+}
+
+void MaintenanceEngine::release_pin(JoinSession& s, const NodeId& at,
+                                    const NodeLockTable* locks) {
+  if (s.pinned_at.erase(at.value()) == 0) return;
+  unpin(reg_.checked(at), s.nn, s.alpha, s.hole_digit, locks);
+}
+
+void MaintenanceEngine::finish_session(JoinSession& s,
+                                       const NodeLockTable* locks) {
+  // Defensive: every acknowledged subtree released its pin already, so
+  // nothing should be left.
+  const std::vector<std::uint64_t> leftovers(s.pinned_at.begin(),
+                                             s.pinned_at.end());
+  for (const std::uint64_t v : leftovers)
+    release_pin(s, NodeId(params_.id, v), locks);
+  finish_insertion(reg_.checked(s.nn), s.alpha, s.visited, &s.trace, locks);
+  s.done = true;
 }
 
 WatchList MaintenanceEngine::watch_list(const TapestryNode& nn,

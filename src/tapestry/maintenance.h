@@ -51,20 +51,20 @@ struct MulticastChild {
   unsigned prefix_len = 0;
 };
 
-/// The §4.4 forwarding-target rule, shared by the event coordinator and
-/// the threaded driver so the two execute the SAME protocol: walking
-/// `at`'s prefix chain from `prefix_len`, per slot one unpinned member
-/// plus all pinned members (Lemma 4), stopping at the first row where
-/// `at` is alone; plus the members already filling the session's
-/// (alpha, hole_digit) slot so conflicting same-hole inserters learn of
-/// each other (MULTICASTTOFILLEDHOLE, Lemma 5).  Pure function of the
-/// node's table and the session constants; the caller provides whatever
-/// synchronisation the read needs (the threaded driver holds `at`'s
-/// stripe, the coordinator is single-threaded).
-[[nodiscard]] std::vector<MulticastChild> multicast_children(
-    NodeRegistry& reg, const TapestryNode& at, const NodeId& nn,
-    unsigned prefix_len, unsigned alpha, unsigned hole_digit,
-    const std::unordered_set<std::uint64_t>& processed);
+/// One insertion of a §4.4 join wave.  The event coordinator
+/// (parallel_join.h) and the threaded driver (threaded_join.h) keep one
+/// per join and hand it to the engine's session steps below.
+struct JoinSession {
+  NodeId nn{};
+  NodeId surrogate{};       ///< core node the multicast started from
+  unsigned alpha = 0;       ///< prefix length of the filled hole
+  unsigned hole_digit = 0;  ///< nn's digit at alpha: the hole it fills
+  std::unordered_set<std::uint64_t> processed;  ///< nodes that ran FUNCTION
+  std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding our pin
+  std::vector<NodeId> visited;                  ///< the α-list being built
+  Trace trace{};
+  bool done = false;  ///< finish_session ran
+};
 
 /// One candidate of the §3 nearest-neighbour descent, measured once: its
 /// distance from the node building its table, its id and its node.  Every
@@ -107,14 +107,19 @@ class MaintenanceEngine final : public RepairHandler {
                   Trace* trace = nullptr);
   /// Thread-parallel dynamic insertion (§4.4 on real threads): drives the
   /// whole batch through ThreadedJoinDriver — each worker thread runs one
-  /// join's multicast/watch-list/pin state machine synchronously, racing
-  /// the others through the per-node stripe locks — and returns the new
-  /// node ids in request order.  `workers` = 0 uses hardware concurrency.
-  /// Determinism contract: ids/gateways are drawn serially up front, so
-  /// same seed + any worker count yields the same membership and a table
-  /// set satisfying the convergence invariants (Property 1, backpointer
-  /// symmetry, no leftover pins, surrogate agreement) — message orderings,
-  /// and therefore exact neighbor choices, may differ between runs.
+  /// join's session steps (below) under the per-node stripe locks, §4.2
+  /// pointer rerouting included — then one quiescent
+  /// ObjectDirectory::repair_pointer_chains pass, as a repair wave ends;
+  /// objects stay locatable without a republish.  Returns the new node ids
+  /// in request order.  `workers` = 0 uses hardware concurrency.  With
+  /// published objects and workers > 1 the wave needs
+  /// StoreBackend::kSharded (concurrent reroutes write through the store
+  /// backends).  Determinism contract: ids/gateways are drawn serially up
+  /// front, so same seed + any worker count yields the same membership
+  /// and a table set satisfying the convergence invariants (Property 1,
+  /// backpointer symmetry, no leftover pins, surrogate agreement) —
+  /// message orderings, and therefore exact neighbor choices, may differ
+  /// between runs.
   std::vector<NodeId> join_bulk(const std::vector<JoinRequest>& requests,
                                 std::size_t workers = 0);
 
@@ -236,51 +241,80 @@ class MaintenanceEngine final : public RepairHandler {
   /// scheduling cannot leak into the outcome.
   void rebuild_static_tables(std::size_t workers = 1);
 
-  // --- join steps (§3-§4), shared with the §4.4 join drivers ---
-  /// GETPRELIMNEIGHBORTABLE: one bulk RPC for the surrogate's rows
-  /// 0..max_level, linked into nn's table.
-  void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
-                              unsigned max_level, Trace* trace,
-                              const NodeLockTable* locks = nullptr);
-  void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace);
+  // --- join steps (§3-§4), shared by join_via and the §4.4 join drivers ---
+  // With `locks` (the threaded driver) every step takes the stripes of the
+  // nodes whose tables it touches, and §4.2 reroutes walk the guarded path.
+  /// INSERT steps 1-2 (Figure 7) for `nid`: ACQUIREPRIMARYSURROGATE from
+  /// `gateway`, bounced to a core node, registration in the §4.3 inserting
+  /// state and GETPRELIMNEIGHBORTABLE.  Returns the surrogate.
+  NodeId begin_insertion(NodeId nid, NodeId gateway, Location loc,
+                         Trace* trace, const NodeLockTable* locks = nullptr);
+  /// begin_insertion for session `s` (s.nn set): fills its surrogate,
+  /// alpha and hole digit, and returns nn's initial watch list.
+  WatchList begin_session(JoinSession& s, NodeId gateway, Location loc,
+                          const NodeLockTable* locks = nullptr);
+  /// The §4.4 multicast FUNCTION at `at` (Figure 11), first visit only:
+  /// watch-list service, pin, ADDTOTABLEIFCLOSER with §4.2 reroutes at nn
+  /// and `at`, then `at` joins the α-list.  Returns the forwarding targets.
+  std::vector<MulticastChild> multicast_function(
+      JoinSession& s, TapestryNode& at, unsigned prefix_len,
+      WatchList& watch, const NodeLockTable* locks = nullptr);
+  /// Releases s's pin at `at` once its subtree acknowledged (Lemma 4).
+  void release_pin(JoinSession& s, const NodeId& at,
+                   const NodeLockTable* locks = nullptr);
+  /// Releases any leftover pins, then finish_insertion over the α-list.
+  void finish_session(JoinSession& s, const NodeLockTable* locks = nullptr);
+  /// INSERT step 4: ACQUIRENEIGHBORTABLE from `alpha_list` with §4.2
+  /// reroutes at nn, then clears nn's §4.3 inserting state.
+  void finish_insertion(TapestryNode& nn, unsigned alpha,
+                        const std::vector<NodeId>& alpha_list, Trace* trace,
+                        const NodeLockTable* locks = nullptr);
+  /// LINKANDXFERROOT: ADDTOTABLEIFCLOSER at `host` plus §4.2 reroutes.
+  void link_and_xfer_root(TapestryNode& host, TapestryNode& nn, Trace* trace,
+                          const NodeLockTable* locks = nullptr);
+  /// The §3 descent (Figure 4) from the level-`max_level` list down.
   void acquire_neighbor_table(TapestryNode& nn, unsigned max_level,
                               const std::vector<NodeId>& initial_list,
-                              Trace* trace);
+                              Trace* trace,
+                              const NodeLockTable* locks = nullptr);
   /// The live nodes of `ids` other than nn, each looked up and measured
   /// from nn once, in the order of their first occurrence.
   [[nodiscard]] CandidateList measure_candidates(
       const TapestryNode& nn, const std::vector<NodeId>& ids) const;
+
+ private:
+  void copy_preliminary_table(TapestryNode& nn, TapestryNode& surrogate,
+                              unsigned max_level, Trace* trace,
+                              const NodeLockTable* locks);
   /// GETFORWARDANDBACKPOINTERS at `level` to every live member of `list`
   /// (one round trip each): the members, their row-`level` entries and
   /// backpointers, measured, in id order.
-  [[nodiscard]] CandidateList gather_candidates(
-      TapestryNode& nn, const CandidateList& list, unsigned level,
-      Trace* trace, const NodeLockTable* locks = nullptr);
+  CandidateList gather_candidates(TapestryNode& nn, const CandidateList& list,
+                                  unsigned level, Trace* trace,
+                                  const NodeLockTable* locks);
+  /// gather_candidates plus LINKANDXFERROOT at each first-met candidate.
+  CandidateList get_next_list(TapestryNode& nn, const CandidateList& list,
+                              unsigned level,
+                              std::unordered_set<std::uint64_t>& contacted,
+                              Trace* trace, const NodeLockTable* locks);
   /// Links every still-live member of `list` into nn's row `level`.
   void build_row_from_list(TapestryNode& nn, const CandidateList& list,
-                           unsigned level,
-                           const NodeLockTable* locks = nullptr);
+                           unsigned level, const NodeLockTable* locks);
   /// The initial watch list: the complement of nn's row occupancy.
-  [[nodiscard]] WatchList watch_list(
-      const TapestryNode& nn, const NodeLockTable* locks = nullptr) const;
+  [[nodiscard]] WatchList watch_list(const TapestryNode& nn,
+                                     const NodeLockTable* locks) const;
   /// Watch-list service (Figure 11 line 1, Lemma 6): every watched slot
   /// `at` can fill is reported to nn (one message each), linked, and
   /// cleared from `watch`.
   void serve_watch_list(TapestryNode& at, TapestryNode& nn, WatchList& watch,
-                        Trace& trace, const NodeLockTable* locks = nullptr);
+                        Trace& trace, const NodeLockTable* locks);
   /// Pins nn into `at`'s (alpha, hole_digit) slot (§4.4, Lemma 4).
   void pin(TapestryNode& at, TapestryNode& nn, unsigned alpha,
-           unsigned hole_digit, const NodeLockTable* locks = nullptr);
-  /// Releases that pin once `at`'s subtree acknowledged; members the slot
-  /// then evicts lose their backpointer to `at`.
+           unsigned hole_digit, const NodeLockTable* locks);
+  /// Releases that pin; members the slot then evicts lose their
+  /// backpointer to `at`.
   void unpin(TapestryNode& at, const NodeId& nn, unsigned alpha,
-             unsigned hole_digit, const NodeLockTable* locks = nullptr);
-
- private:
-  CandidateList get_next_list(TapestryNode& nn, const CandidateList& list,
-                              unsigned level,
-                              std::unordered_set<std::uint64_t>& contacted,
-                              Trace* trace);
+             unsigned hole_digit, const NodeLockTable* locks);
   /// Sets member's level-`level` backpointer to owner's *current* slot
   /// membership — the evictee fix-up, which under `locks` runs after the
   /// pair's stripes drop (the last validation writes the truth).

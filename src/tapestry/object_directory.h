@@ -90,11 +90,12 @@ class ObjectDirectory {
   /// with the Router's mutation-free peek (grouped by the salted guid's
   /// leading digit — the root region each path converges into), and the
   /// collected deposits land per registry shard, each shard applying its
-  /// deposits in batch order.  The result is identical to calling
-  /// publish() per request on a quiescent, fully-live mesh (the
-  /// bulk-build setting): stores, replica registry and message counts
-  /// match exactly; trace latency matches up to floating-point summation
-  /// order.  The §2.4 secondary-deposit variant falls back to the serial
+  /// deposits in batch order; then, serially in batch order, each path's
+  /// root mirrors its record to the replicated store's holders.  The
+  /// result is identical to calling publish() per request on a quiescent,
+  /// fully-live mesh (the bulk-build setting): stores, replica registry
+  /// and message counts match exactly; trace latency matches up to
+  /// floating-point summation order.  The §2.4 secondary-deposit variant falls back to the serial
   /// loop.
   /// `guarded` switches the path walks from the lock-free peek to the
   /// per-hop node-stripe locks (the Router::route_to_root_guarded
@@ -186,9 +187,9 @@ class ObjectDirectory {
   /// locked reroutes can interleave so a deposit lands after its holder's
   /// snapshot was taken; serial execution cannot).  Iterates to a fixed
   /// point (bounded by the digit count) and returns the number of records
-  /// re-pushed.  With this pass, threaded repair restores Property-4-style
-  /// locatability inside the wave — the §6.5 republish backstop is not
-  /// involved.
+  /// re-pushed.  With this pass, threaded join and repair waves restore
+  /// Property-4-style locatability inside the wave — the §6.5 republish
+  /// backstop is not involved.
   std::size_t repair_pointer_chains(Trace* trace = nullptr);
 
   // --- ground truth / oracle accessors (tests and benches only) ---

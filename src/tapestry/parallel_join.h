@@ -24,15 +24,18 @@
 // Message interleaving is genuine: every forward, report, and ack is an
 // EventQueue event whose delivery time is the metric distance (plus
 // optional jitter), so two insertions racing for the same hole exercise
-// the same orderings a real network would.  The per-node steps themselves
-// (forwarding rule, watch-list service, pin and release) are the
-// MaintenanceEngine's, shared with the threaded driver (threaded_join.h).
+// the same orderings a real network would.  Everything a join does at a
+// node — the surrogate bounce, the multicast FUNCTION (watch-list service,
+// pin, ADDTOTABLEIFCLOSER, §4.2 pointer rerouting, forwarding rule), pin
+// release and the §3 descent that finishes the insertion — is a
+// MaintenanceEngine session step (join.cc), shared with the threaded
+// driver (threaded_join.h); this class adds only the transport: scheduled
+// deliveries and acknowledgement counting.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/tapestry/network.h"
@@ -67,19 +70,6 @@ class ParallelJoinCoordinator {
   std::vector<Outcome> run(const std::vector<Request>& requests);
 
  private:
-  struct Session {
-    std::size_t index = 0;  ///< position in the request/outcome vectors
-    NodeId nn{};
-    NodeId surrogate{};
-    unsigned alpha = 0;
-    unsigned hole_digit = 0;
-    std::unordered_set<std::uint64_t> processed;  ///< nodes that ran FUNCTION
-    std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding a pin
-    std::vector<NodeId> visited;                  ///< the α-list being built
-    Trace trace{};
-    bool multicast_done = false;
-  };
-
   // Per-(session, node) forwarding state: outstanding child acks + parent.
   struct PendingAcks {
     std::size_t remaining = 0;
@@ -96,13 +86,12 @@ class ParallelJoinCoordinator {
                         WatchList watch);
   void deliver_ack(std::size_t session_idx, NodeId from, NodeId to);
   void handle_ack(std::size_t session_idx, NodeId at);
-  void release_pin(std::size_t session_idx, const NodeId& at);
   void finish_multicast(std::size_t session_idx);
   double delay(const NodeId& a, const NodeId& b);
 
   Network& net_;
   double jitter_;
-  std::vector<Session> sessions_;
+  std::vector<JoinSession> sessions_;
   std::vector<Outcome> outcomes_;
   // Per session: node value -> PendingAcks.
   std::vector<std::unordered_map<std::uint64_t, PendingAcks>> pending_;

@@ -13,10 +13,13 @@
 // watch-list reports from concurrent joins genuinely contend on the same
 // RoutingTable mutation wrappers.
 //
-// The per-node steps — table links, the preliminary table copy, row
-// building, watch-list service, pin and pin release — are the
-// MaintenanceEngine's own (join.cc), called with the registry's lock
-// table; this driver adds only the orchestration.
+// Every per-node step — the surrogate bounce, table links, the
+// preliminary table copy, the multicast FUNCTION (watch-list service, pin,
+// ADDTOTABLEIFCLOSER, forwarding rule), pin release and the §3 descent
+// that finishes the insertion — is a MaintenanceEngine session step
+// (join.cc), the same one the event coordinator and the serial join run,
+// called here with the registry's lock table; this driver adds only the
+// transport: a depth-first walk whose returns are the acknowledgements.
 //
 // Locking discipline (see node_locks.h): every access to a node's routing
 // table or insertion flags takes that node's stripe; mutations that mirror
@@ -36,17 +39,19 @@
 // agreement, backpointer symmetry), not on bit-identical transcripts;
 // fingerprint_occupancy (fingerprint.h) is the cross-worker-count witness.
 //
-// Object pointers: the threaded *join* path does not do incremental §4.2
-// pointer rerouting (a joining node holds no pointers yet, and the walks
-// would couple every join to every store); the §6.5 soft-state republish
-// is the designated backstop for join waves.  Threaded *repair* waves are
-// different — leave_bulk / fail_and_repair_bulk (threaded_repair.h) reroute
-// incrementally inside the wave, per holder, under the same stripe
-// discipline, and do NOT rely on the republish backstop.
+// Object pointers: §4.2 pointer rerouting runs inside the wave, as in the
+// serial join and the event coordinator — every node whose table the join
+// changes (each multicast recipient, each first-met descent candidate,
+// the new node itself) has its pointer hops snapshotted and re-pushed
+// under the stripe discipline (ObjectDirectory::snapshot_pointer_hops /
+// reroute_changed_pointers given the lock table).  Racing reroutes open
+// the one window threaded_repair.h describes, so join_bulk ends with the
+// same quiescent ObjectDirectory::repair_pointer_chains pass a repair wave
+// ends with: objects are locatable the moment the wave returns, with no
+// §6.5 republish.  The store contract is the repair waves' as well: with
+// published objects and workers > 1 the wave needs StoreBackend::kSharded.
 #pragma once
 
-#include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/tapestry/maintenance.h"
@@ -63,7 +68,7 @@ class ThreadedJoinDriver {
   };
 
   ThreadedJoinDriver(MaintenanceEngine& engine, NodeRegistry& registry,
-                     Router& router, const TapestryParams& params, Rng& rng);
+                     const TapestryParams& params, Rng& rng);
 
   /// Runs every requested insertion to completion across `workers` real
   /// threads (0 = hardware concurrency) and returns per-join outcomes in
@@ -74,39 +79,17 @@ class ThreadedJoinDriver {
                            std::size_t workers = 0);
 
  private:
-  struct Session {
-    NodeId nn{};
-    NodeId gateway{};
-    Location loc{};
-    NodeId surrogate{};
-    unsigned alpha = 0;
-    unsigned hole_digit = 0;
-    std::unordered_set<std::uint64_t> processed;  ///< multicast recipients
-    std::unordered_set<std::uint64_t> pinned_at;  ///< nodes holding our pin
-    std::vector<NodeId> visited;                  ///< the α-list being built
-    Trace trace{};
-    bool done = false;
-  };
-
   void do_join(std::size_t index);
-  void multicast_visit(Session& s, NodeId at_id, unsigned prefix_len,
+  void multicast_visit(JoinSession& s, NodeId at_id, unsigned prefix_len,
                        WatchList watch);
-  void release_pin(Session& s, const NodeId& at_id);
-  void acquire_neighbor_table(Session& s, TapestryNode& nn,
-                              unsigned max_level,
-                              const std::vector<NodeId>& initial_list);
-  CandidateList get_next_list(Session& s, TapestryNode& nn,
-                              const CandidateList& list, unsigned level,
-                              std::unordered_set<std::uint64_t>& met);
 
   MaintenanceEngine& eng_;
   NodeRegistry& reg_;
-  Router& router_;
   const TapestryParams& params_;
   Rng& rng_;
   const NodeLockTable& locks_;
-  std::vector<Session> sessions_;
-  std::vector<Outcome> outcomes_;
+  std::vector<JoinRequest> requests_;  ///< gateways resolved in the preamble
+  std::vector<JoinSession> sessions_;
 };
 
 }  // namespace tap

@@ -163,6 +163,35 @@ TEST(ThreadedJoin, WaveRacesShardedStoreBatchPublish) {
         g.net->locate(all_ids[ql.next_u64(all_ids.size())], guid).found);
 }
 
+TEST(ThreadedJoin, WaveKeepsProperty4WithoutRepublish) {
+  // §4.2 rerouting runs inside the wave: pointers whose root or path moves
+  // to a new node follow it before join_bulk returns, so Property 4 and
+  // locatability hold with no soft-state republish.
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kSharded;
+  for (const std::uint64_t seed : {231u, 232u, 233u}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      auto g = static_ring_network(128, seed, p);
+      const auto core_ids = g.net->node_ids();
+      std::vector<Guid> guids;
+      Rng wl(seed);
+      for (int i = 0; i < 32; ++i) {
+        guids.push_back(make_guid(*g.net, 8000 + i));
+        g.net->publish(core_ids[wl.next_u64(core_ids.size())], guids.back());
+      }
+
+      g.net->join_bulk(wave_requests(128, 56), workers);
+
+      g.net->check_property1();
+      g.net->check_property4();
+      const auto ids = g.net->node_ids();
+      for (const Guid& guid : guids)
+        EXPECT_TRUE(g.net->locate(ids[wl.next_u64(ids.size())], guid).found)
+            << "seed " << seed << " workers " << workers;
+    }
+  }
+}
+
 TEST(ThreadedJoin, WaveRacesExpirySweeps) {
   // Multi-worker expiry sweeps (per-node store passes over a registry
   // snapshot) race the join wave's concurrent registrations.
