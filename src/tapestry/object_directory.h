@@ -95,8 +95,8 @@ class ObjectDirectory {
   /// result is identical to calling publish() per request on a quiescent,
   /// fully-live mesh (the bulk-build setting): stores, replica registry
   /// and message counts match exactly; trace latency matches up to
-  /// floating-point summation order.  The §2.4 secondary-deposit variant falls back to the serial
-  /// loop.
+  /// floating-point summation order.  The §2.4 secondary-deposit variant
+  /// falls back to the serial loop.
   /// `guarded` switches the path walks from the lock-free peek to the
   /// per-hop node-stripe locks (the Router::route_to_root_guarded
   /// discipline): required when the mesh is NOT quiescent — i.e. when a

@@ -38,7 +38,8 @@ std::vector<ThreadedJoinDriver::Outcome> ThreadedJoinDriver::run(
     TAP_CHECK(reg_.find(s.nn) == nullptr, "node id already in use");
     TAP_CHECK(batch_ids.insert(s.nn.value()).second,
               "duplicate node id within the join batch");
-    if (!req.gateway.has_value()) req.gateway = live[rng_.next_u64(live.size())];
+    if (!req.gateway.has_value())
+      req.gateway = live[rng_.next_u64(live.size())];
     TAP_CHECK(reg_.is_live(*req.gateway), "gateway must be a live node");
   }
 
